@@ -13,21 +13,20 @@
 //! All three modes produce identical labels (enforced at startup and by
 //! the `prop_infer` determinism proptest).
 //!
-//! A second `infer/subset_*` group times the reduced-precision inference
-//! path on the models that have one (lr, svm, mlp), single-threaded so
-//! the comparison is pure kernel arithmetic: `infer/subset_f64` is the
-//! ordinary batched engine over that subset and the baseline for the
-//! other two, `infer/subset_f32` narrows weights and activations to
-//! `f32`, and `infer/subset_int8` runs the quantized path. The report
-//! carries each twin's label agreement with the f64 verdicts; the int8
-//! gate (>= 99.5%) is asserted at startup and re-checked by
-//! `scripts/bench.sh`. Writes `BENCH_infer.json` at the repo root.
+//! A second `infer/subset_*` group times the int8 inference path on the
+//! models that have one (lr, svm, mlp), single-threaded so the comparison
+//! is pure kernel arithmetic: `infer/subset_f64` is the ordinary batched
+//! engine over that subset and the baseline, and `infer/subset_int8` runs
+//! the quantized path. The report carries the int8 twin's label agreement
+//! with the f64 verdicts; its gate (>= 99.5%) is asserted at startup and
+//! re-checked by `scripts/bench.sh`. Writes `BENCH_infer.json` at the
+//! repo root.
 
 use std::time::Duration;
 
 use criterion::Criterion;
 use yali_core::{transform_all, Corpus, Sample, Scale, Transformer};
-use yali_ml::{F32Classifier, Int8Classifier, ModelKind, TrainConfig, VectorClassifier};
+use yali_ml::{Int8Classifier, ModelKind, TrainConfig, VectorClassifier};
 
 /// The challenge evaders: a representative slice of Figure 4's column
 /// (identity, optimizer, and the O-LLVM passes).
@@ -63,14 +62,12 @@ struct Report {
     threads_parallel: usize,
     n_queries: usize,
     models: Vec<String>,
-    /// The models with reduced-precision twins (the `infer/subset_*`
-    /// modes run exactly these).
+    /// The models with int8 twins (the `infer/subset_*` modes run exactly
+    /// these).
     lowp_models: Vec<String>,
     modes: Vec<ModeOut>,
     speedup_serial_to_batched: f64,
     speedup_serial_to_batched_parallel: f64,
-    /// Fraction of subset labels where the f32 twin agrees with f64.
-    f32_agreement: f64,
     /// Fraction of subset labels where the int8 twin agrees with f64
     /// (gated at >= 0.995 here and in scripts/bench.sh).
     int8_agreement: f64,
@@ -127,9 +124,9 @@ fn main() {
     assert_eq!(serial_pass(), batched_pass(), "modes must agree on labels");
 
     // The reduced-precision subset: the models whose inference is a pure
-    // dense pipeline, plus their f32 and int8 twins.
+    // dense pipeline, plus their int8 twins.
     const LOWP_MODELS: [ModelKind; 3] = [ModelKind::Lr, ModelKind::Svm, ModelKind::Mlp];
-    let subset: Vec<(&VectorClassifier, F32Classifier, Int8Classifier)> = LOWP_MODELS
+    let subset: Vec<(&VectorClassifier, Int8Classifier)> = LOWP_MODELS
         .iter()
         .map(|want| {
             let clf = models
@@ -137,55 +134,37 @@ fn main() {
                 .find(|(k, _)| k == want)
                 .map(|(_, c)| c)
                 .expect("subset model trained above");
-            (
-                clf,
-                F32Classifier::from_model(clf).expect("f32 twin"),
-                Int8Classifier::from_model(clf).expect("int8 twin"),
-            )
+            (clf, Int8Classifier::from_model(clf).expect("int8 twin"))
         })
         .collect();
 
     // Twin-vs-f64 label agreement over the whole challenge pool — the
     // accuracy-delta gate, asserted here and re-checked by bench.sh.
-    let (mut f32_hits, mut int8_hits, mut lowp_total) = (0.0, 0.0, 0.0);
-    for (clf, f32c, int8c) in &subset {
+    let (mut int8_hits, mut lowp_total) = (0.0, 0.0);
+    for (clf, int8c) in &subset {
         let want = clf.predict_batch_with_threads(&queries, 1);
-        f32_hits += agreement(&f32c.predict_batch_with_threads(&queries, 1), &want)
-            * want.len() as f64;
         int8_hits += agreement(&int8c.predict_batch_with_threads(&queries, 1), &want)
             * want.len() as f64;
         lowp_total += want.len() as f64;
     }
-    let f32_agreement = f32_hits / lowp_total;
     let int8_agreement = int8_hits / lowp_total;
     assert!(
         int8_agreement >= 0.995,
         "int8 agreement {int8_agreement} below the 99.5% gate"
-    );
-    assert!(
-        f32_agreement >= 0.995,
-        "f32 agreement {f32_agreement} below the 99.5% gate"
     );
 
     // Single-threaded passes over the subset, one per precision; each
     // sums the labels so the work cannot be optimized away.
     let subset_f64_pass = || {
         let mut acc = 0usize;
-        for (clf, _, _) in &subset {
+        for (clf, _) in &subset {
             acc += clf.predict_batch_with_threads(&queries, 1).iter().sum::<usize>();
-        }
-        acc
-    };
-    let subset_f32_pass = || {
-        let mut acc = 0usize;
-        for (_, f32c, _) in &subset {
-            acc += f32c.predict_batch_with_threads(&queries, 1).iter().sum::<usize>();
         }
         acc
     };
     let subset_int8_pass = || {
         let mut acc = 0usize;
-        for (_, _, int8c) in &subset {
+        for (_, int8c) in &subset {
             acc += int8c.predict_batch_with_threads(&queries, 1).iter().sum::<usize>();
         }
         acc
@@ -205,7 +184,6 @@ fn main() {
     c.bench_function("infer/serial", |b| b.iter(serial_pass));
     c.bench_function("infer/batched", |b| b.iter(batched_pass));
     c.bench_function("infer/subset_f64", |b| b.iter(subset_f64_pass));
-    c.bench_function("infer/subset_f32", |b| b.iter(subset_f32_pass));
     c.bench_function("infer/subset_int8", |b| b.iter(subset_int8_pass));
     std::env::set_var("YALI_THREADS", parallel_threads.to_string());
     c.bench_function("infer/batched_parallel", |b| b.iter(batched_pass));
@@ -277,7 +255,7 @@ fn main() {
         description: "batched inference engine: six trained vector models classifying the \
                       Scale::SMALL corpus under six evaders, serial per-sample vs batched \
                       (1 thread) vs batched+parallel; plus the reduced-precision subset \
-                      (lr, svm, mlp at f64 / f32 / int8, 1 thread, speedups vs subset_f64)"
+                      (lr, svm, mlp at f64 / int8, 1 thread, speedups vs subset_f64)"
             .to_string(),
         workload: format!(
             "{} classes x {} per class, {} evaders, {} queries x {} models per pass",
@@ -294,7 +272,6 @@ fn main() {
         modes,
         speedup_serial_to_batched: speedup_batched,
         speedup_serial_to_batched_parallel: speedup_batched_parallel,
-        f32_agreement,
         int8_agreement,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -302,11 +279,10 @@ fn main() {
     std::fs::write(path, json + "\n").expect("write BENCH_infer.json");
     println!(
         "infer serial -> batched: {:.2}x, -> batched_parallel: {:.2}x; \
-         int8 agreement {:.4}, f32 agreement {:.4} (report at {})",
+         int8 agreement {:.4} (report at {})",
         report.speedup_serial_to_batched,
         report.speedup_serial_to_batched_parallel,
         report.int8_agreement,
-        report.f32_agreement,
         path
     );
 }

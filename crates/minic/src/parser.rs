@@ -4,10 +4,21 @@
 //! postfix `++`/`--` in statement position are accepted as sugar and
 //! desugared during parsing, mirroring how clang's AST would present them
 //! to later passes.
+//!
+//! Source can come from outside the process (a `yali-serve` SCAN request),
+//! and the parser, the type checker, the lowering and the AST's `Drop` all
+//! recurse on the tree. The parser therefore refuses any program that
+//! nests deeper than [`MAX_DEPTH`] with a [`SyntaxError`], so no input
+//! can overflow a default thread stack.
 
 use crate::ast::*;
 use std::error::Error;
 use std::fmt;
+
+/// The deepest nesting the parser accepts: enclosing statements plus the
+/// height of the expression tree, where every operator of a
+/// left-associative chain such as `1 + 1 + 1` adds one level.
+pub const MAX_DEPTH: usize = 256;
 
 /// A syntax error with a 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,6 +158,8 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, SyntaxError> {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Enclosing statements and unary/postfix expressions being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -167,6 +180,16 @@ impl Parser {
         SyntaxError {
             line: self.line(),
             msg: msg.into(),
+        }
+    }
+
+    /// Fails when `levels` more levels below the current nesting would
+    /// pass [`MAX_DEPTH`].
+    fn fits(&self, levels: usize) -> Result<(), SyntaxError> {
+        if self.depth + levels > MAX_DEPTH {
+            Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+        } else {
+            Ok(())
         }
     }
 
@@ -290,6 +313,14 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, SyntaxError> {
+        self.fits(1)?;
+        self.depth += 1;
+        let stmt = self.parse_stmt_inner();
+        self.depth -= 1;
+        stmt
+    }
+
+    fn parse_stmt_inner(&mut self) -> Result<Stmt, SyntaxError> {
         if let Some(ty) = self.peek_type() {
             if ty == Ty::Void {
                 return Err(self.err("void declaration"));
@@ -494,11 +525,14 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, SyntaxError> {
-        self.parse_bin(0)
+        Ok(self.parse_bin(0)?.0)
     }
 
-    fn parse_bin(&mut self, min_prec: u8) -> Result<Expr, SyntaxError> {
-        let mut lhs = self.parse_unary()?;
+    /// Precedence climbing. Returns the expression with its height (a
+    /// leaf is 1), which a left-associative chain grows without
+    /// recursing, so the depth limit is checked here per operator.
+    fn parse_bin(&mut self, min_prec: u8) -> Result<(Expr, usize), SyntaxError> {
+        let (mut lhs, mut height) = self.parse_unary()?;
         loop {
             let (op, prec) = match self.peek() {
                 Some(Tok::Punct("||")) => (BinOp::Or, 1),
@@ -525,27 +559,40 @@ impl Parser {
                 break;
             }
             self.pos += 1;
-            let rhs = self.parse_bin(prec + 1)?;
+            let (rhs, rhs_height) = self.parse_bin(prec + 1)?;
             lhs = Expr::bin(op, lhs, rhs);
+            height = 1 + height.max(rhs_height);
+            self.fits(height)?;
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, SyntaxError> {
+    /// A unary expression with its height, one nesting level deeper.
+    fn parse_unary(&mut self) -> Result<(Expr, usize), SyntaxError> {
+        self.fits(1)?;
+        self.depth += 1;
+        let expr = self.parse_unary_inner();
+        self.depth -= 1;
+        expr
+    }
+
+    fn parse_unary_inner(&mut self) -> Result<(Expr, usize), SyntaxError> {
         if self.eat("-") {
             // Fold negation of literals so `(-5)` and a constructed
             // `Expr::Int(-5)` are the same AST.
             return Ok(match self.parse_unary()? {
-                Expr::Int(v) => Expr::Int(v.wrapping_neg()),
-                Expr::Float(v) => Expr::Float(-v),
-                e => Expr::Unary(UnOp::Neg, Box::new(e)),
+                (Expr::Int(v), h) => (Expr::Int(v.wrapping_neg()), h),
+                (Expr::Float(v), h) => (Expr::Float(-v), h),
+                (e, h) => (Expr::Unary(UnOp::Neg, Box::new(e)), h + 1),
             });
         }
         if self.eat("!") {
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.parse_unary()?)));
+            let (e, h) = self.parse_unary()?;
+            return Ok((Expr::Unary(UnOp::Not, Box::new(e)), h + 1));
         }
         if self.eat("~") {
-            return Ok(Expr::Unary(UnOp::BitNot, Box::new(self.parse_unary()?)));
+            let (e, h) = self.parse_unary()?;
+            return Ok((Expr::Unary(UnOp::BitNot, Box::new(e)), h + 1));
         }
         // Cast: "(" type ")" unary
         if self.peek() == Some(&Tok::Punct("(")) {
@@ -557,41 +604,45 @@ impl Parser {
             if let Some(ty) = cast_ty {
                 if self.toks.get(self.pos + 2).map(|(t, _)| t) == Some(&Tok::Punct(")")) {
                     self.pos += 3;
-                    return Ok(Expr::Cast(ty, Box::new(self.parse_unary()?)));
+                    let (e, h) = self.parse_unary()?;
+                    return Ok((Expr::Cast(ty, Box::new(e)), h + 1));
                 }
             }
         }
         self.parse_postfix()
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr, SyntaxError> {
+    fn parse_postfix(&mut self) -> Result<(Expr, usize), SyntaxError> {
         match self.next() {
-            Some(Tok::Int(v)) => Ok(Expr::Int(v)),
-            Some(Tok::Float(v)) => Ok(Expr::Float(v)),
+            Some(Tok::Int(v)) => Ok((Expr::Int(v), 1)),
+            Some(Tok::Float(v)) => Ok((Expr::Float(v), 1)),
             Some(Tok::Punct("(")) => {
-                let e = self.parse_expr()?;
+                let e = self.parse_bin(0)?;
                 self.expect(")")?;
                 Ok(e)
             }
             Some(Tok::Ident(name)) => {
                 if self.eat("(") {
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if !self.eat(")") {
                         loop {
-                            args.push(self.parse_expr()?);
+                            let (arg, h) = self.parse_bin(0)?;
+                            args.push(arg);
+                            height = height.max(h);
                             if self.eat(")") {
                                 break;
                             }
                             self.expect(",")?;
                         }
                     }
-                    Ok(Expr::Call(name, args))
+                    Ok((Expr::Call(name, args), height + 1))
                 } else if self.eat("[") {
-                    let idx = self.parse_expr()?;
+                    let (idx, h) = self.parse_bin(0)?;
                     self.expect("]")?;
-                    Ok(Expr::Index(name, Box::new(idx)))
+                    Ok((Expr::Index(name, Box::new(idx)), h + 1))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 }
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
@@ -611,7 +662,8 @@ fn punct_of(p: &str) -> &'static str {
 ///
 /// # Errors
 ///
-/// Returns a [`SyntaxError`] pointing at the first offending line.
+/// Returns a [`SyntaxError`] pointing at the first offending line, also
+/// when the program nests deeper than [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -623,7 +675,7 @@ fn punct_of(p: &str) -> &'static str {
 /// ```
 pub fn parse(src: &str) -> Result<Program, SyntaxError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     p.parse_program()
 }
 

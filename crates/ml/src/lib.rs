@@ -47,9 +47,9 @@ pub use cnn::{Cnn, CnnConfig};
 pub use dgcnn::{Dgcnn, DgcnnConfig, GraphSample};
 pub use forest::{ForestConfig, RandomForest};
 pub use knn::Knn;
-pub use linalg::{active_kernel, GemmKernel, Matrix, Matrix32};
+pub use linalg::{active_kernel, GemmKernel, Matrix};
 pub use linear::{LinearConfig, LinearLoss, LinearModel};
-pub use lowp::{F32Classifier, Int8Classifier};
+pub use lowp::Int8Classifier;
 pub use metrics::{accuracy, confusion, macro_f1};
 pub use mlp::{Mlp, MlpConfig};
 

@@ -1,16 +1,15 @@
-//! The register-blocked scalar GEMM kernels: the always-available
+//! The register-blocked scalar GEMM kernel: the always-available
 //! fallback of the dispatched kernel family, and the reference the SIMD
 //! kernels are tolerance-tested against.
 //!
-//! The `f64` kernel here is the codebase's original blocked `i–k–j`
-//! (axpy-formulation) kernel, unchanged: every output element sums in a
-//! fixed ascending-`k` order with separate multiply and add (no fused
+//! It is the codebase's original blocked `i–k–j` (axpy-formulation)
+//! kernel, unchanged: every output element sums in a fixed
+//! ascending-`k` order with separate multiply and add (no fused
 //! rounding), so forcing `YALI_SIMD=0` reproduces the pre-SIMD results
-//! bit for bit. The `f32` kernel mirrors the same structure for the
-//! [`super::Matrix32`] inference path.
+//! bit for bit.
 //!
-//! Both kernels take the output pre-seeded (with zero or a bias row) and
-//! accumulate into it; the caller owns shape checks and observability
+//! The kernel takes the output pre-seeded (with zero or a bias row) and
+//! accumulates into it; the caller owns shape checks and observability
 //! counters.
 
 use super::axpy;
@@ -48,45 +47,6 @@ pub(crate) fn gemm_f64(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: 
         for (kk, &av) in arow.iter().enumerate() {
             if av != 0.0 {
                 axpy(av, &b[kk * n..(kk + 1) * n], orow);
-            }
-        }
-        i += 1;
-    }
-}
-
-/// The `f32` twin of [`gemm_f64`]: same blocking, same fixed ascending-`k`
-/// summation order, unfused multiply-add. Serves the [`super::Matrix32`]
-/// inference path when SIMD is unavailable or forced off.
-pub(crate) fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    let mut i = 0;
-    while i + 4 <= m {
-        let (o0, rest) = out[i * n..(i + 4) * n].split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, o3) = rest.split_at_mut(n);
-        for kk in 0..k {
-            let brow = &b[kk * n..(kk + 1) * n];
-            let a0 = a[i * k + kk];
-            let a1 = a[(i + 1) * k + kk];
-            let a2 = a[(i + 2) * k + kk];
-            let a3 = a[(i + 3) * k + kk];
-            for (j, &bj) in brow.iter().enumerate() {
-                o0[j] += a0 * bj;
-                o1[j] += a1 * bj;
-                o2[j] += a2 * bj;
-                o3[j] += a3 * bj;
-            }
-        }
-        i += 4;
-    }
-    while i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av != 0.0 {
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
             }
         }
         i += 1;

@@ -121,32 +121,9 @@ fn fused_tail_f64(
     }
 }
 
-/// The `f32` twin of [`fused_tail_f64`].
-#[allow(clippy::too_many_arguments)]
-fn fused_tail_f32(
-    i0: usize,
-    rows: usize,
-    j0: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    for i in i0..i0 + rows {
-        for j in j0..n {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
-            }
-            out[i * n + j] += acc;
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{fused_tail_f32, fused_tail_f64};
+    use super::fused_tail_f64;
     use std::arch::x86_64::*;
 
     // ---------------------------------------------------------------- AVX-512
@@ -246,94 +223,6 @@ mod x86 {
         }
     }
 
-    /// One `R×32` f32 register tile (two zmm per row).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F; caller guarantees `i + R <= m`, `jb + 32 <= n`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn tile_f32_avx512<const R: usize>(
-        i: usize,
-        jb: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut acc = [[_mm512_setzero_ps(); 2]; R];
-        for kk in 0..k {
-            let bp = b.as_ptr().add(kk * n + jb);
-            let b0 = _mm512_loadu_ps(bp);
-            let b1 = _mm512_loadu_ps(bp.add(16));
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*a.get_unchecked((i + r) * k + kk));
-                accr[0] = _mm512_fmadd_ps(av, b0, accr[0]);
-                accr[1] = _mm512_fmadd_ps(av, b1, accr[1]);
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let p = out.as_mut_ptr().add((i + r) * n + jb);
-            _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p), accr[0]));
-            _mm512_storeu_ps(p.add(16), _mm512_add_ps(_mm512_loadu_ps(p.add(16)), accr[1]));
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX-512F; caller guarantees `i + R <= m`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn rows_f32_avx512<const R: usize>(
-        i: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut jb = 0;
-        while jb + 32 <= n {
-            tile_f32_avx512::<R>(i, jb, k, n, a, b, out);
-            jb += 32;
-        }
-        if jb < n {
-            fused_tail_f32(i, R, jb, k, n, a, b, out);
-        }
-    }
-
-    /// AVX-512F f32 GEMM: 8×32 register tiles.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F; slices must back `m×k`, `k×n` and `m×n`
-    /// row-major matrices.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn gemm_f32_avx512(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut i = 0;
-        while i + 8 <= m {
-            rows_f32_avx512::<8>(i, k, n, a, b, out);
-            i += 8;
-        }
-        if i + 4 <= m {
-            rows_f32_avx512::<4>(i, k, n, a, b, out);
-            i += 4;
-        }
-        if i + 2 <= m {
-            rows_f32_avx512::<2>(i, k, n, a, b, out);
-            i += 2;
-        }
-        if i < m {
-            rows_f32_avx512::<1>(i, k, n, a, b, out);
-        }
-    }
-
     // ------------------------------------------------------------- AVX2 + FMA
 
     /// One `R×8` f64 register tile (two ymm per row).
@@ -419,98 +308,14 @@ mod x86 {
             rows_f64_avx2::<1>(i, k, n, a, b, out);
         }
     }
-
-    /// One `R×16` f32 register tile (two ymm per row).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; caller guarantees `i + R <= m`, `jb + 16 <= n`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn tile_f32_avx2<const R: usize>(
-        i: usize,
-        jb: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut acc = [[_mm256_setzero_ps(); 2]; R];
-        for kk in 0..k {
-            let bp = b.as_ptr().add(kk * n + jb);
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + kk));
-                accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let p = out.as_mut_ptr().add((i + r) * n + jb);
-            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), accr[0]));
-            _mm256_storeu_ps(p.add(8), _mm256_add_ps(_mm256_loadu_ps(p.add(8)), accr[1]));
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; caller guarantees `i + R <= m`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn rows_f32_avx2<const R: usize>(
-        i: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut jb = 0;
-        while jb + 16 <= n {
-            tile_f32_avx2::<R>(i, jb, k, n, a, b, out);
-            jb += 16;
-        }
-        if jb < n {
-            fused_tail_f32(i, R, jb, k, n, a, b, out);
-        }
-    }
-
-    /// AVX2+FMA f32 GEMM: 4×16 register tiles.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; slices must back `m×k`, `k×n` and `m×n`
-    /// row-major matrices.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn gemm_f32_avx2(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut i = 0;
-        while i + 4 <= m {
-            rows_f32_avx2::<4>(i, k, n, a, b, out);
-            i += 4;
-        }
-        if i + 2 <= m {
-            rows_f32_avx2::<2>(i, k, n, a, b, out);
-            i += 2;
-        }
-        if i < m {
-            rows_f32_avx2::<1>(i, k, n, a, b, out);
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{gemm_f32_avx2, gemm_f32_avx512, gemm_f64_avx2, gemm_f64_avx512};
+pub(crate) use x86::{gemm_f64_avx2, gemm_f64_avx512};
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{fused_tail_f32, fused_tail_f64};
+    use super::fused_tail_f64;
     use std::arch::aarch64::*;
 
     /// NEON f64 GEMM: 4×4 register tiles (two 2-lane vectors per row)
@@ -560,55 +365,10 @@ mod neon {
             fused_tail_f64(i, m - i, 0, k, n, a, b, out);
         }
     }
-
-    /// NEON f32 GEMM: 4×8 register tiles (two 4-lane vectors per row).
-    ///
-    /// # Safety
-    ///
-    /// Slices must back `m×k`, `k×n` and `m×n` row-major matrices.
-    pub(crate) unsafe fn gemm_f32_neon(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let mut i = 0;
-        while i + 4 <= m {
-            let mut jb = 0;
-            while jb + 8 <= n {
-                let mut acc = [[vdupq_n_f32(0.0); 2]; 4];
-                for kk in 0..k {
-                    let bp = b.as_ptr().add(kk * n + jb);
-                    let b0 = vld1q_f32(bp);
-                    let b1 = vld1q_f32(bp.add(4));
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = vdupq_n_f32(*a.get_unchecked((i + r) * k + kk));
-                        accr[0] = vfmaq_f32(accr[0], av, b0);
-                        accr[1] = vfmaq_f32(accr[1], av, b1);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let p = out.as_mut_ptr().add((i + r) * n + jb);
-                    vst1q_f32(p, vaddq_f32(vld1q_f32(p), accr[0]));
-                    vst1q_f32(p.add(4), vaddq_f32(vld1q_f32(p.add(4)), accr[1]));
-                }
-                jb += 8;
-            }
-            if jb < n {
-                fused_tail_f32(i, 4, jb, k, n, a, b, out);
-            }
-            i += 4;
-        }
-        if i < m {
-            fused_tail_f32(i, m - i, 0, k, n, a, b, out);
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
-pub(crate) use neon::{gemm_f32_neon, gemm_f64_neon};
+pub(crate) use neon::gemm_f64_neon;
 
 /// Dispatches `out += A·B` (f64) to `kernel`, which the caller has
 /// checked is available on this CPU.
@@ -634,33 +394,6 @@ pub(crate) fn gemm_f64_with(
         GemmKernel::Neon => unsafe { gemm_f64_neon(m, k, n, a, b, out) },
         #[allow(unreachable_patterns)]
         _ => super::kernel_scalar::gemm_f64(m, k, n, a, b, out),
-    }
-}
-
-/// Dispatches `out += A·B` (f32) to `kernel`, which the caller has
-/// checked is available on this CPU.
-pub(crate) fn gemm_f32_with(
-    kernel: GemmKernel,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    match kernel {
-        GemmKernel::Scalar => super::kernel_scalar::gemm_f32(m, k, n, a, b, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability was checked by `GemmKernel::available`.
-        GemmKernel::Avx2 => unsafe { gemm_f32_avx2(m, k, n, a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability was checked by `GemmKernel::available`.
-        GemmKernel::Avx512 => unsafe { gemm_f32_avx512(m, k, n, a, b, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        GemmKernel::Neon => unsafe { gemm_f32_neon(m, k, n, a, b, out) },
-        #[allow(unreachable_patterns)]
-        _ => super::kernel_scalar::gemm_f32(m, k, n, a, b, out),
     }
 }
 

@@ -19,12 +19,12 @@
 //!   `mul_add` reference (IEEE FMA is exact, so that reference really
 //!   is a bit-oracle).
 //! * [`quant`] — the opt-in int8 path: per-row absmax quantization with
-//!   exact i32 accumulation, used by the `lowp` inference classifiers.
+//!   exact i32 accumulation, used by the `lowp` inference classifier.
 //!
-//! Precision policy: training is always `f64` (ModelCache keys and the
-//! determinism proptests depend on it); inference may opt into `f32`
-//! ([`Matrix32`]) or int8 via `lowp`. The kernel choice is fixed per
-//! process, so run-to-run bit-stability on one machine is preserved.
+//! Precision policy: training and inference are `f64` (ModelCache keys
+//! and the determinism proptests depend on it); inference may opt into
+//! int8 via `lowp`. The kernel choice is fixed per process, so
+//! run-to-run bit-stability on one machine is preserved.
 //!
 //! In the axpy formulation the inner loop accumulates
 //! `C[i][·] += A[i][k] · B[k][·]` over two **contiguous** row slices —
@@ -63,11 +63,11 @@ pub enum GemmKernel {
     /// The register-blocked scalar kernel — always available, bitwise
     /// identical to the pre-SIMD codebase.
     Scalar,
-    /// AVX2 + FMA 4×8 (f64) / 4×16 (f32) register tiles (x86_64).
+    /// AVX2 + FMA 4×8 register tiles (x86_64).
     Avx2,
-    /// AVX-512F 8×16 (f64) / 8×32 (f32) register tiles (x86_64).
+    /// AVX-512F 8×16 register tiles (x86_64).
     Avx512,
-    /// NEON 4×4 (f64) / 4×8 (f32) register tiles (aarch64 baseline).
+    /// NEON 4×4 register tiles (aarch64 baseline).
     Neon,
 }
 
@@ -108,20 +108,6 @@ pub struct Matrix {
     pub cols: usize,
     /// Row-major data (`rows * cols` entries).
     pub data: Vec<f64>,
-}
-
-/// A dense row-major matrix of `f32` — the reduced-precision *inference*
-/// storage/compute mode. Training never touches it: models are trained
-/// in `f64` and narrowed once by the `lowp` classifiers, whose products
-/// run through the same dispatched kernel family in `f32`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Matrix32 {
-    /// Rows.
-    pub rows: usize,
-    /// Columns.
-    pub cols: usize,
-    /// Row-major data (`rows * cols` entries).
-    pub data: Vec<f32>,
 }
 
 /// Shape-mismatch panic naming both operand shapes (kept out of line so
@@ -414,122 +400,6 @@ impl Matrix {
     }
 }
 
-impl Matrix32 {
-    /// A zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix32 {
-        Matrix32 {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Narrows an `f64` matrix to `f32` storage (one rounding per
-    /// element).
-    pub fn from_f64(m: &Matrix) -> Matrix32 {
-        Matrix32 {
-            rows: m.rows,
-            cols: m.cols,
-            data: m.data.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Builds a matrix from a closure over `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Matrix32 {
-        let mut m = Matrix32::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m.data[r * cols + c] = f(r, c);
-            }
-        }
-        m
-    }
-
-    /// A view of row `r`.
-    pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable view of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// The transpose, packed with cache-friendly tiles.
-    pub fn transpose(&self) -> Matrix32 {
-        const T: usize = 32;
-        let mut out = Matrix32::zeros(self.cols, self.rows);
-        for rb in (0..self.rows).step_by(T) {
-            let rend = (rb + T).min(self.rows);
-            for cb in (0..self.cols).step_by(T) {
-                let cend = (cb + T).min(self.cols);
-                for r in rb..rend {
-                    for c in cb..cend {
-                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Fused `self * other^T + bias` in `f32`, through the dispatched
-    /// kernel family — the `lowp` batched forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics on column-count mismatch or when `bias.len() != other.rows`,
-    /// naming the shapes.
-    pub fn matmul_t_bias(&self, other: &Matrix32, bias: &[f32]) -> Matrix32 {
-        if self.cols != other.cols {
-            shape_panic(
-                "matmul_t_bias(f32)",
-                "A.cols must equal B.cols",
-                (self.rows, self.cols),
-                (other.rows, other.cols),
-            );
-        }
-        if bias.len() != other.rows {
-            shape_panic(
-                "matmul_t_bias(f32)",
-                "bias length must equal B.rows",
-                (bias.len(), 1),
-                (other.rows, other.cols),
-            );
-        }
-        yali_obs::count!("ml.gemm.f32.calls", 1);
-        yali_obs::count!("ml.gemm.f32.fmas", (self.rows * other.rows * self.cols) as u64);
-        let bt = other.transpose();
-        let n = bt.cols;
-        let mut out = Matrix32::zeros(self.rows, n);
-        for i in 0..self.rows {
-            out.data[i * n..(i + 1) * n].copy_from_slice(bias);
-        }
-        kernel_simd::gemm_f32_with(
-            active_kernel(),
-            self.rows,
-            self.cols,
-            n,
-            &self.data,
-            &bt.data,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
-    /// Heap bytes held by the element storage.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-}
-
 /// Dot product.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -705,21 +575,6 @@ mod tests {
         out
     }
 
-    /// The `f32` twin of [`fused_ref_f64`].
-    fn fused_ref_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
-                }
-                out[i * n + j] += acc;
-            }
-        }
-        out
-    }
-
     /// Every non-scalar kernel runnable on this CPU.
     fn simd_kernels() -> Vec<GemmKernel> {
         [GemmKernel::Avx2, GemmKernel::Avx512, GemmKernel::Neon]
@@ -816,8 +671,8 @@ mod tests {
 
     // The SIMD bit-oracle on handpicked adversarial shapes: empty
     // operands, single elements, column counts one either side of every
-    // lane/tile width (4, 8, 16, 32), and row counts that are not
-    // multiples of the 4- and 8-row blocks.
+    // tile width (4, 8, 16) and of two 16-wide tiles, and row counts that
+    // are not multiples of the 4- and 8-row blocks.
     #[test]
     fn simd_kernels_survive_adversarial_shapes_bitwise() {
         let kernels = simd_kernels();
@@ -851,40 +706,6 @@ mod tests {
         }
     }
 
-    // Same adversarial sweep for the f32 kernels (tile widths 8, 16, 32
-    // columns), which back the Matrix32 inference path.
-    #[test]
-    fn simd_f32_kernels_survive_adversarial_shapes_bitwise() {
-        let kernels = simd_kernels();
-        if kernels.is_empty() {
-            eprintln!("skipping: no SIMD kernel on this host");
-            return;
-        }
-        for &m in &[0usize, 1, 3, 4, 5, 8, 9, 17] {
-            for &n in &[0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
-                for &k in &[0usize, 1, 13] {
-                    let a: Vec<f32> =
-                        (0..m * k).map(|i| ((i * 29 + 7) % 17) as f32 * 0.31 - 2.4).collect();
-                    let b: Vec<f32> =
-                        (0..k * n).map(|i| ((i * 41 + 3) % 23) as f32 * 0.17 - 1.9).collect();
-                    let want = fused_ref_f32(m, k, n, &a, &b);
-                    for &kernel in &kernels {
-                        let mut got = vec![0.0f32; m * n];
-                        kernel_simd::gemm_f32_with(kernel, m, k, n, &a, &b, &mut got);
-                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                            assert_eq!(
-                                g.to_bits(),
-                                w.to_bits(),
-                                "kernel {} shape {m}x{k}x{n} entry {i}: {g} vs {w}",
-                                kernel.name()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn pinned_scalar_kernel_matches_dispatched_matmul_within_tolerance() {
         let vals: Vec<f64> = (0..53).map(|i| ((i * 13 + 5) % 29) as f64 * 0.21 - 2.9).collect();
@@ -903,20 +724,6 @@ mod tests {
     fn pinning_an_unavailable_kernel_panics() {
         let a = Matrix::zeros(2, 2);
         let _ = a.matmul_with_kernel(&a, GemmKernel::Neon);
-    }
-
-    #[test]
-    fn matrix32_matmul_t_bias_matches_f64_within_f32_tolerance() {
-        let a = fill(7, 33, &[0.5, -1.25, 2.0, 0.75, -0.375]);
-        let w = fill(5, 33, &[1.5, -0.25, 0.125, 2.5]);
-        let bias: Vec<f64> = (0..5).map(|j| j as f64 * 0.5 - 1.0).collect();
-        let want = a.matmul_t_bias(&w, &bias);
-        let bias32: Vec<f32> = bias.iter().map(|&v| v as f32).collect();
-        let got = Matrix32::from_f64(&a).matmul_t_bias(&Matrix32::from_f64(&w), &bias32);
-        assert_eq!((got.rows, got.cols), (want.rows, want.cols));
-        for (i, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
-            assert!((*g as f64 - w).abs() < 1e-3, "entry {i}: {g} vs {w}");
-        }
     }
 
     #[test]

@@ -241,8 +241,8 @@ impl LinearModel {
         self.loss
     }
 
-    /// Raw parts — `(weights, bias, scaler)` — for the reduced-precision
-    /// `lowp` classifiers to narrow.
+    /// Raw parts — `(weights, bias, scaler)` — for the int8 `lowp`
+    /// classifier to quantize.
     pub(crate) fn lowp_parts(&self) -> (&Matrix, &[f64], &Scaler) {
         (&self.w, &self.b, &self.scaler)
     }

@@ -94,8 +94,8 @@ impl Mlp {
         self.net.proba_rows(self.scaled(xs))
     }
 
-    /// Raw parts — `(scaler, net)` — for the reduced-precision `lowp`
-    /// classifiers to narrow (they walk the net's dense layers through
+    /// Raw parts — `(scaler, net)` — for the int8 `lowp` classifier to
+    /// quantize (it walks the net's dense layers through
     /// [`crate::nn::Layer::dense_params`]).
     pub(crate) fn lowp_parts(&self) -> (&Scaler, &Net) {
         (&self.scaler, &self.net)

@@ -174,9 +174,8 @@ pub trait Layer: Send + Sync {
     fn num_params(&self) -> usize;
     /// Serializes the layer (tag plus parameters) for the model store.
     fn write(&self, out: &mut ByteWriter);
-    /// The `(weights, bias)` of a dense layer — what the reduced-precision
-    /// `lowp` classifiers narrow to `f32`/int8. `None` for every other
-    /// layer kind.
+    /// The `(weights, bias)` of a dense layer — what the int8 `lowp`
+    /// classifier quantizes. `None` for every other layer kind.
     fn dense_params(&self) -> Option<(&Matrix, &[f64])> {
         None
     }

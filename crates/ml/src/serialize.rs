@@ -12,17 +12,15 @@
 //! blob is a bug, not an input error — the reader panics with a message
 //! rather than threading `Result`s through every model.
 //!
-//! Model blobs are prefixed with [`CODEC_VERSION`]. Version 2 added the
-//! reduced-precision primitives (`f32` via [`f32::to_bits`], raw `i8`
-//! strings, [`crate::linalg::Matrix32`]) for the `lowp` inference
-//! classifiers; version 1 (the unprefixed seed-era format) is no longer
-//! readable — the cache is in-process, so old blobs cannot outlive the
-//! binary that wrote them.
+//! Model blobs are prefixed with [`CODEC_VERSION`]. Version 2 added raw
+//! `i8` strings for the int8 `lowp` inference classifier; version 1 (the
+//! unprefixed seed-era format) is no longer readable — the cache is
+//! in-process, so old blobs cannot outlive the binary that wrote them.
 
-use crate::linalg::{Matrix, Matrix32};
+use crate::linalg::Matrix;
 
 /// Version byte prefixed to every model blob. Bumped to 2 when the
-/// low-precision (`f32` / int8) primitives were added.
+/// int8 primitives were added.
 pub const CODEC_VERSION: u8 = 2;
 
 /// Serializer accumulating a little-endian byte buffer.
@@ -84,24 +82,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Writes a `u32` little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f32` as its bit pattern (lossless round trip).
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Writes a length-prefixed `f32` slice.
-    pub fn put_f32s(&mut self, vs: &[f32]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_f32(v);
-        }
-    }
-
     /// Writes a length-prefixed `i8` slice (int8 quantized codes).
     pub fn put_i8s(&mut self, vs: &[i8]) {
         self.put_usize(vs.len());
@@ -114,15 +94,6 @@ impl ByteWriter {
         self.put_usize(m.cols);
         for &v in &m.data {
             self.put_f64(v);
-        }
-    }
-
-    /// Writes an `f32` matrix (shape then data).
-    pub fn put_matrix32(&mut self, m: &Matrix32) {
-        self.put_usize(m.rows);
-        self.put_usize(m.cols);
-        for &v in &m.data {
-            self.put_f32(v);
         }
     }
 }
@@ -193,27 +164,6 @@ impl<'a> ByteReader<'a> {
         out
     }
 
-    /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> u32 {
-        let end = self.pos + 4;
-        assert!(end <= self.data.len(), "model blob truncated at {}", self.pos);
-        let mut bytes = [0u8; 4];
-        bytes.copy_from_slice(&self.data[self.pos..end]);
-        self.pos = end;
-        u32::from_le_bytes(bytes)
-    }
-
-    /// Reads an `f32` from its bit pattern.
-    pub fn get_f32(&mut self) -> f32 {
-        f32::from_bits(self.get_u32())
-    }
-
-    /// Reads a length-prefixed `f32` vector.
-    pub fn get_f32s(&mut self) -> Vec<f32> {
-        let n = self.get_usize();
-        (0..n).map(|_| self.get_f32()).collect()
-    }
-
     /// Reads a length-prefixed `i8` vector.
     pub fn get_i8s(&mut self) -> Vec<i8> {
         let n = self.get_usize();
@@ -230,14 +180,6 @@ impl<'a> ByteReader<'a> {
         let cols = self.get_usize();
         let data = (0..rows * cols).map(|_| self.get_f64()).collect();
         Matrix { rows, cols, data }
-    }
-
-    /// Reads an `f32` matrix.
-    pub fn get_matrix32(&mut self) -> Matrix32 {
-        let rows = self.get_usize();
-        let cols = self.get_usize();
-        let data = (0..rows * cols).map(|_| self.get_f32()).collect();
-        Matrix32 { rows, cols, data }
     }
 
     /// True when the whole buffer has been consumed.
@@ -284,25 +226,11 @@ mod tests {
     #[test]
     fn round_trips_the_low_precision_primitives() {
         let mut w = ByteWriter::new();
-        w.put_u32(u32::MAX - 7);
-        w.put_f32(-0.1f32);
-        w.put_f32s(&[2.5f32, f32::MIN_POSITIVE, -0.0f32]);
         w.put_i8s(&[-127, -1, 0, 1, 127]);
-        w.put_matrix32(&Matrix32::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.25));
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u32(), u32::MAX - 7);
-        assert_eq!(r.get_f32(), -0.1f32);
-        let fs = r.get_f32s();
-        assert_eq!(fs.len(), 3);
-        assert_eq!(fs[0], 2.5f32);
-        assert_eq!(fs[1], f32::MIN_POSITIVE);
-        assert_eq!(fs[2].to_bits(), (-0.0f32).to_bits(), "sign of zero survives");
         assert_eq!(r.get_i8s(), vec![-127, -1, 0, 1, 127]);
-        let m = r.get_matrix32();
-        assert_eq!((m.rows, m.cols), (3, 2));
-        assert_eq!(m.row(2), &[1.0f32, 1.25]);
         assert!(r.is_done());
     }
 

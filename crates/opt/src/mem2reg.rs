@@ -8,8 +8,12 @@
 //! This is the pass the paper credits with reverting source-level
 //! obfuscation: "the SSA conversion that LLVM uses reverts all the effects"
 //! of Zhang et al.'s drlsg transformer (Section 4.3).
+//!
+//! Phi insertion walks the candidate allocas and their definition blocks
+//! in id order, so the phis' placement within a block, their instruction
+//! ids and the printed IR are the same on every run.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use yali_ir::{BlockId, DomTree, Function, Inst, InstId, Module, Op, Type, Value};
 
 /// Runs mem2reg on every function of the module. Returns the number of
@@ -34,7 +38,7 @@ pub fn run(f: &mut Function) -> usize {
     let preds = f.predecessors();
 
     // For each alloca: blocks containing stores (definition sites).
-    let mut def_blocks: HashMap<InstId, HashSet<BlockId>> = HashMap::new();
+    let mut def_blocks: BTreeMap<InstId, BTreeSet<BlockId>> = BTreeMap::new();
     for (b, i) in f.iter_insts() {
         let inst = f.inst(i);
         if inst.op == Op::Store {
@@ -219,8 +223,8 @@ fn resolve(v: &Value, replace: &HashMap<InstId, Value>) -> Value {
 /// Finds allocas that can be promoted: single-element scalar slots whose
 /// only uses are direct loads and stores (never stored *as a value*, never
 /// gep'd, never passed to a call).
-fn promotable_allocas(f: &Function) -> HashMap<InstId, Type> {
-    let mut cand: HashMap<InstId, Type> = HashMap::new();
+fn promotable_allocas(f: &Function) -> BTreeMap<InstId, Type> {
+    let mut cand: BTreeMap<InstId, Type> = BTreeMap::new();
     for (_, i) in f.iter_insts() {
         let inst = f.inst(i);
         if inst.op == Op::Alloca
@@ -342,6 +346,42 @@ mod tests {
         // x and y slots.
         assert_eq!(run_module(&mut m), 2);
         assert_eq!(run_module(&mut m), 0);
+    }
+
+    #[test]
+    fn promotion_prints_the_same_module_on_every_run() {
+        // Loops with several live variables each: every variable gets a
+        // phi in the same loop header, so their order there depends on
+        // the order in which the allocas and their definition blocks are
+        // visited.
+        let src = r#"
+            int walk(int n) {
+                int a = 0; int b = 1; int c = 2; int d = 3;
+                for (int i = 0; i < n; i++) { a = a + b; b = b * 2 - c; c = c + d; d = d - a; }
+                return a + b + c + d;
+            }
+            int nest(int n, int m) {
+                int s = 0; int t = 1; int u = 0;
+                for (int i = 0; i < n; i++) {
+                    for (int j = 0; j < m; j++) { s = s + j; t = t * 3 % 7; }
+                    u = u + s - t;
+                }
+                return u;
+            }
+            int spin(int x) {
+                int p = x; int q = 0; int r = 1; int w = 5;
+                while (p > 0) {
+                    if (p % 2 == 0) { q = q + r; } else { r = r + w; w = w - 1; }
+                    p = p - 1;
+                }
+                return q * r + w;
+            }
+        "#;
+        let m = compile(src);
+        let (mut first, mut second) = (m.clone(), m);
+        crate::mem2reg_only(&mut first);
+        crate::mem2reg_only(&mut second);
+        assert_eq!(print_module(&first), print_module(&second));
     }
 
     #[test]

@@ -161,6 +161,32 @@ fn scan_verdicts_match_the_direct_scanner() {
 }
 
 #[test]
+fn deeply_nested_scan_source_is_refused_not_fatal() {
+    let (addr, handle) = start_server(BatcherConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+
+    // 10,000 nested parentheses: 20 KB of source, far under the frame
+    // cap, that would overflow a reader thread's stack if compiled.
+    let deep = format!("int f() {{ return {}1{}; }}", "(".repeat(10_000), ")".repeat(10_000));
+    match client.scan(&deep).unwrap() {
+        Reply::BadRequest(reason) => assert!(reason.contains("nesting"), "{reason}"),
+        other => panic!("unexpected reply {other:?}"),
+    }
+
+    // The daemon is still up and still right.
+    let (_, clf) = &oracle().models[0];
+    let q = queries()[0].clone();
+    let want = clf.predict(&q) as u32;
+    match client.classify(0, q).unwrap() {
+        Reply::Label(got) => assert_eq!(got, want),
+        other => panic!("unexpected reply {other:?}"),
+    }
+
+    assert_eq!(client.shutdown().unwrap(), Reply::Ok);
+    handle.join().unwrap();
+}
+
+#[test]
 fn malformed_requests_are_refused_not_fatal() {
     let (addr, handle) = start_server(BatcherConfig::default());
     let mut client = Client::connect(&addr).expect("connect");

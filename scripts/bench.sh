@@ -34,6 +34,11 @@ case "${1:-}" in
   *) echo "usage: scripts/bench.sh [--smoke]" >&2; exit 2 ;;
 esac
 
+# Every report gate below is a python3 check: without python3 they would
+# pass without checking anything, so refuse to start instead.
+command -v python3 >/dev/null 2>&1 \
+  || { echo "scripts/bench.sh: python3 is required for the report gates" >&2; exit 1; }
+
 # Snapshot the committed reports before the benches overwrite them: the
 # regression watch at the end of this script diffs each fresh report
 # against the baseline that was here when the run started.
@@ -58,8 +63,7 @@ cargo bench --bench serve
 check_json() {
   local file="$1"
   shift
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$file" "$@" <<'EOF'
+  python3 - "$file" "$@" <<'EOF'
 import json
 import sys
 
@@ -85,17 +89,11 @@ for m in modes:
         )
 print(f"{path}: ok ({len(modes)} modes)")
 EOF
-  else
-    for key in "$@" modes; do
-      grep -q "\"$key\"" "$file" || { echo "$file: missing key \"$key\"" >&2; exit 1; }
-    done
-    echo "$file: ok (grep fallback; python3 unavailable)"
-  fi
 }
 
 check_json BENCH_engine.json speedup_serial_to_parallel_cached obs_overhead_pct embed_cache transform_cache
 check_json BENCH_train.json speedup_serial_to_parallel_cached model_cache gemm_simd_kernel
-check_json BENCH_infer.json speedup_serial_to_batched speedup_serial_to_batched_parallel n_queries int8_agreement f32_agreement
+check_json BENCH_infer.json speedup_serial_to_batched speedup_serial_to_batched_parallel n_queries int8_agreement
 check_json BENCH_store.json speedup_cold_to_warm_disk bytes_on_disk disk_hit_ratio store_entries
 check_json BENCH_serve.json qps_serial_to_batched p99_batched_over_serial n_clients requests_per_client live
 
@@ -104,8 +102,7 @@ check_json BENCH_serve.json qps_serial_to_batched p99_batched_over_serial n_clie
 # non-negative phase wall times, and pool utilization in [0, 1].
 check_runstats() {
   local file="$1"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$file" <<'EOF'
+  python3 - "$file" <<'EOF'
 import json
 import sys
 
@@ -138,12 +135,6 @@ print(
     f"pool utilization {util:.2f})"
 )
 EOF
-  else
-    for key in obs_enabled caches phases pool counters; do
-      grep -q "\"$key\"" "$file" || { echo "$file: missing key \"$key\"" >&2; exit 1; }
-    done
-    echo "$file: ok (grep fallback; python3 unavailable)"
-  fi
 }
 
 check_runstats RUNSTATS_engine.json
@@ -157,8 +148,7 @@ check_runstats RUNSTATS_serve.json
 # obs-on mode may cost at most 5% over the identical obs-off mode (the
 # true cost measures well under 1%; the margin covers per-run code-layout
 # and scheduler noise this box cannot resolve any tighter).
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
+python3 - <<'EOF'
 import json
 
 with open("BENCH_engine.json") as f:
@@ -168,15 +158,13 @@ if pct > 5.0:
     raise SystemExit(f"BENCH_engine.json: obs-on overhead {pct:.2f}% exceeds the 5% gate")
 print(f"observability overhead gate: ok ({pct:.2f}% <= 5%)")
 EOF
-fi
 
 # The SIMD kernel floor: the dispatched GEMM kernel must beat the blocked
 # scalar kernel by at least 4x at the MLP-forward shape. Skipped (with a
 # note) when CPU detection picked the scalar kernel — there is nothing to
 # gate on a machine with no SIMD units, and tier-1 already proves the
 # scalar path correct.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
+python3 - <<'EOF'
 import json
 
 with open("BENCH_train.json") as f:
@@ -194,38 +182,30 @@ if ratio < 4.0:
     )
 print(f"gemm simd floor: ok ({kernel} {ratio:.2f}x over blocked, >= 4x)")
 EOF
-fi
 
 # The int8 accuracy gate: the quantized inference path must agree with
 # the f64 verdicts on at least 99.5% of the subset labels (the bench
 # asserts this too; re-checking the written report keeps the gate honest
 # against a stale file).
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
+python3 - <<'EOF'
 import json
 
 with open("BENCH_infer.json") as f:
     report = json.load(f)
-for key in ("int8_agreement", "f32_agreement"):
-    agree = report[key]
-    if agree < 0.995:
-        raise SystemExit(f"BENCH_infer.json: {key} {agree:.4f} below the 99.5% gate")
+agree = report["int8_agreement"]
+if agree < 0.995:
+    raise SystemExit(f"BENCH_infer.json: int8_agreement {agree:.4f} below the 99.5% gate")
 mean = {m["name"]: m["mean_ns"] for m in report["modes"]}
 speed = mean["infer/subset_f64"] / mean["infer/subset_int8"]
-print(
-    f"int8 gate: ok (agreement {report['int8_agreement']:.4f} >= 0.995, "
-    f"f32 {report['f32_agreement']:.4f}, int8 {speed:.2f}x vs subset f64)"
-)
+print(f"int8 gate: ok (agreement {agree:.4f} >= 0.995, {speed:.2f}x vs subset f64)")
 EOF
-fi
 
 # The artifact-store resume gate: replaying the store bench's sweep from
 # a populated store in a cold-cache process must beat recomputing it from
 # scratch by at least 10x, and the replay must actually come from disk
 # (hit ratio well above chance), or resuming an interrupted sweep is not
 # worth the I/O.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
+python3 - <<'EOF'
 import json
 
 with open("BENCH_store.json") as f:
@@ -243,7 +223,6 @@ if report["bytes_on_disk"] <= 0:
     raise SystemExit("BENCH_store.json: empty store after the sweep")
 print(f"store resume gate: ok ({speedup:.2f}x >= 10x, hit ratio {ratio:.3f})")
 EOF
-fi
 
 # The serving gate: deadline batching must sustain at least 2x the QPS of
 # one-request-per-dispatch serial serving at a no-worse tail (the bench
@@ -252,8 +231,7 @@ fi
 # RUNSTATS must be coherent with itself: every batched row recorded a
 # queue wait, the batch-size histogram is non-empty, and no batch
 # exceeded INFER_CHUNK (32) rows.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
+python3 - <<'EOF'
 import json
 
 with open("BENCH_serve.json") as f:
@@ -345,7 +323,6 @@ print(
     f"{live['window_count']} rows, recorder overhead {overhead:.2f}% <= 5%)"
 )
 EOF
-fi
 
 # Trace analysis: every bench also wrote an untimed TRACE_*.jsonl
 # capture. The strict parser accepting it proves balanced spans and
@@ -379,8 +356,7 @@ YALI_OBS=1 YALI_TRACE="$grid_dir/grid.jsonl" target/release/yali-grid run \
   --workers 2 --out "$grid_dir/grid.json" --runstats RUNSTATS_grid.json \
   --games game0 --evaders none --models knn,rf --rounds 2 \
   --classes 3 --per-class 4
-if command -v python3 >/dev/null 2>&1; then
-  python3 - RUNSTATS_grid.json <<'EOF'
+python3 - RUNSTATS_grid.json <<'EOF'
 import json
 import sys
 
@@ -399,7 +375,6 @@ for name, total in fleet.items():
         sys.exit(f"{path}: counter {name}: fleet {total} != shard sum {by_shard}")
 print(f"fleet coherence: ok ({len(fleet)} counters == shard sums across {len(shards)} shards)")
 EOF
-fi
 grid_baseline="$baseline_dir/RUNSTATS_grid.json"
 [ -f "$grid_baseline" ] || grid_baseline=RUNSTATS_grid.json
 # The smoke sweep finishes in milliseconds, so per-phase means are pure

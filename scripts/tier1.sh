@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, full test suite, a warning-free
-# clippy pass over every target (benches and tests included), and a
-# round-trip smoke test of the yali-serve daemon.
+# clippy pass over every target (benches and tests included), a
+# round-trip smoke test of the yali-serve daemon, and the benchmark's own
+# test suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,6 +95,12 @@ fi
 wait "$serve_pid" || serve_rc=$?
 [ "$serve_rc" -eq 0 ] || { echo "yali-serve exited with $serve_rc" >&2; cat "$serve_log" >&2; exit 1; }
 echo "serve smoke: ok (daemon on $serve_addr answered ping/classify/scan and drained)"
+
+# The benchmark's own tests: its smoke test runs every workload, traced
+# and untraced, against the committed golden digests. A change that
+# breaks the benchmark's build, its checks, or a public item it imports
+# fails here rather than only when the benchmark itself runs.
+cargo test --release --offline --manifest-path crates/bench/src/bin/yali-benchmark/Cargo.toml
 
 # Optional benchmark smoke: YALI_SMOKE=1 scripts/tier1.sh also runs the
 # throughput + training benches and sanity-checks their JSON reports.
