@@ -6,7 +6,7 @@
 //! embeddings from the content-addressed cache, without changing any
 //! result.
 
-use crate::engine;
+use crate::engine::{self, HashedModule, SharedModule};
 use crate::transformer::Transformer;
 use yali_embed::{Embedding, EmbeddingKind};
 use yali_ir::Fnv64;
@@ -145,8 +145,8 @@ pub enum TrainedClassifier {
     Graph(Box<Dgcnn>, EmbeddingKind),
 }
 
-fn graph_sample(m: &yali_ir::Module, kind: EmbeddingKind) -> GraphSample {
-    match engine::embed_cached(m, kind) {
+fn graph_sample(e: Embedding) -> GraphSample {
+    match e {
         Embedding::Graph(g) => GraphSample {
             feats: g.feats,
             edges: g.edges.iter().map(|&(s, d, _)| (s, d)).collect(),
@@ -155,23 +155,25 @@ fn graph_sample(m: &yali_ir::Module, kind: EmbeddingKind) -> GraphSample {
     }
 }
 
-fn vector_sample(m: &yali_ir::Module, kind: EmbeddingKind) -> Vec<f64> {
-    match engine::embed_cached(m, kind) {
+fn vector_sample(e: Embedding) -> Vec<f64> {
+    match e {
         Embedding::Vector(v) => v,
         Embedding::Graph(_) => unreachable!("vector embedding expected"),
     }
 }
 
 impl TrainedClassifier {
-    /// Trains `spec` on the given (already transformed) training modules.
+    /// Trains `spec` on the given (already transformed) training modules,
+    /// owned or shared ([`engine::SharedModule`]); their embeddings come
+    /// through [`engine::embed_all`].
     ///
     /// # Panics
     ///
     /// Panics when a vector model is paired with a graph embedding (the
     /// paper's Figure 3: only dgcnn accepts graphs) or the set is empty.
-    pub fn fit(
+    pub fn fit<M: HashedModule>(
         spec: &ClassifierSpec,
-        modules: &[yali_ir::Module],
+        modules: &[M],
         labels: &[usize],
         n_classes: usize,
     ) -> TrainedClassifier {
@@ -183,7 +185,8 @@ impl TrainedClassifier {
                 );
                 let graphs: Vec<GraphSample> = {
                     let _s = yali_obs::span!("embed.batch");
-                    engine::par_map(modules, |_, m| graph_sample(m, spec.embedding))
+                    let embedded = engine::embed_all(modules, spec.embedding);
+                    embedded.into_iter().map(graph_sample).collect()
                 };
                 let _s = yali_obs::span!("train.fit");
                 let model = Dgcnn::fit(&graphs, labels, n_classes, &spec.dgcnn);
@@ -196,7 +199,8 @@ impl TrainedClassifier {
                 );
                 let x: Vec<Vec<f64>> = {
                     let _s = yali_obs::span!("embed.batch");
-                    engine::par_map(modules, |_, m| vector_sample(m, spec.embedding))
+                    let embedded = engine::embed_all(modules, spec.embedding);
+                    embedded.into_iter().map(vector_sample).collect()
                 };
                 let _s = yali_obs::span!("train.fit");
                 let model = VectorClassifier::fit(kind, &x, labels, n_classes, &spec.train);
@@ -207,26 +211,31 @@ impl TrainedClassifier {
 
     /// Classifies one challenge module. Pure: a trained classifier can be
     /// challenged from many threads at once.
-    pub fn classify(&self, m: &yali_ir::Module) -> usize {
+    pub fn classify(&self, m: &impl HashedModule) -> usize {
         match self {
-            TrainedClassifier::Vector(model, kind) => model.predict(&vector_sample(m, *kind)),
-            TrainedClassifier::Graph(model, kind) => model.predict(&graph_sample(m, *kind)),
+            TrainedClassifier::Vector(model, kind) => {
+                model.predict(&vector_sample(engine::embed_cached(m, *kind)))
+            }
+            TrainedClassifier::Graph(model, kind) => {
+                model.predict(&graph_sample(engine::embed_cached(m, *kind)))
+            }
         }
     }
 
-    /// Classifies a whole challenge set, preserving order: embeddings are
-    /// computed in parallel through the engine's embed cache, then the
+    /// Classifies a whole challenge set, preserving order: embeddings come
+    /// through the engine's embed cache ([`engine::embed_all`]), then the
     /// whole batch runs through the model's batched inference path
     /// ([`VectorClassifier::predict_batch`] / [`Dgcnn::predict_batch`]) —
     /// GEMM-backed chunked kernels whose labels are identical to a
     /// per-module [`TrainedClassifier::classify`] loop at any
     /// `YALI_THREADS`.
-    pub fn classify_all(&self, modules: &[yali_ir::Module]) -> Vec<usize> {
+    pub fn classify_all<M: HashedModule>(&self, modules: &[M]) -> Vec<usize> {
         match self {
             TrainedClassifier::Vector(model, kind) => {
                 let xs: Vec<Vec<f64>> = {
                     let _s = yali_obs::span!("embed.batch");
-                    engine::par_map(modules, |_, m| vector_sample(m, *kind))
+                    let embedded = engine::embed_all(modules, *kind);
+                    embedded.into_iter().map(vector_sample).collect()
                 };
                 let _s = yali_obs::span!("infer.batch");
                 model.predict_batch(&xs)
@@ -234,7 +243,8 @@ impl TrainedClassifier {
             TrainedClassifier::Graph(model, kind) => {
                 let gs: Vec<GraphSample> = {
                     let _s = yali_obs::span!("embed.batch");
-                    engine::par_map(modules, |_, m| graph_sample(m, *kind))
+                    let embedded = engine::embed_all(modules, *kind);
+                    embedded.into_iter().map(graph_sample).collect()
                 };
                 let _s = yali_obs::span!("infer.batch");
                 model.predict_batch(&gs)
@@ -304,9 +314,9 @@ fn embed_from_tag(tag: u8) -> EmbeddingKind {
 /// point (embedding, model, training knobs) and the training set (module
 /// content hashes, labels, class count). Two calls with equal keys train
 /// byte-identical classifiers.
-fn classifier_key(
+fn classifier_key<M: HashedModule>(
     spec: &ClassifierSpec,
-    modules: &[yali_ir::Module],
+    modules: &[M],
     labels: &[usize],
     n_classes: usize,
 ) -> u64 {
@@ -346,11 +356,12 @@ fn classifier_key(
 
 /// [`TrainedClassifier::fit`] through the engine's model store: a sweep
 /// that revisits a design point (same spec, same training modules) loads
-/// the serialized model instead of retraining. Under `YALI_CACHE=0` this
-/// is exactly `fit`.
-pub fn fit_classifier_cached(
+/// the serialized model instead of retraining. The key reads each
+/// module's content hash, which a [`engine::SharedModule`] carries. Under
+/// `YALI_CACHE=0` this is exactly `fit`.
+pub fn fit_classifier_cached<M: HashedModule>(
     spec: &ClassifierSpec,
-    modules: &[yali_ir::Module],
+    modules: &[M],
     labels: &[usize],
     n_classes: usize,
 ) -> TrainedClassifier {
@@ -410,15 +421,25 @@ pub fn fit_vector_cached(
     clf
 }
 
-/// Materializes transformed IR modules for a set of samples, in parallel
-/// and through the engine's transform cache. Each sample's transformation
-/// seed depends only on its index, so the output is identical at every
-/// thread count, cached or cold.
-pub fn transform_all(samples: &[&Sample], t: Transformer, seed: u64) -> Vec<yali_ir::Module> {
+/// Materializes transformed IR modules for a set of samples through the
+/// engine's transform cache ([`engine::transform_batch`]), as shared
+/// handles. Each sample's transformation seed depends only on its index,
+/// so the output is identical at every thread count, cached or cold.
+pub fn transform_shared(samples: &[&Sample], t: Transformer, seed: u64) -> Vec<SharedModule> {
     let _s = yali_obs::span!("transform.batch");
-    engine::par_map(samples, |i, s| {
-        engine::transform_cached(&s.program, t, seed ^ ((i as u64) << 16))
-    })
+    let jobs: Vec<(&Program, u64)> = samples
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (&s.program, seed ^ ((i as u64) << 16)))
+        .collect();
+    engine::transform_batch(&jobs, t)
+}
+
+/// [`transform_shared`] as owned modules: each one is copied out of the
+/// cache that still holds it.
+pub fn transform_all(samples: &[&Sample], t: Transformer, seed: u64) -> Vec<yali_ir::Module> {
+    let shared = transform_shared(samples, t, seed);
+    shared.into_iter().map(SharedModule::into_module).collect()
 }
 
 #[cfg(test)]

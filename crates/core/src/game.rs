@@ -7,7 +7,7 @@
 //! | 2 (symmetric) | evader-transformed 0.8 split | yes | no |
 //! | 3 (asymmetric) | normalizer-transformed 0.8 split | yes | yes (challenges too) |
 
-use crate::arena::{fit_classifier_cached, transform_all, ClassifierSpec, Corpus};
+use crate::arena::{fit_classifier_cached, transform_shared, ClassifierSpec, Corpus};
 use crate::transformer::Transformer;
 use serde::Serialize;
 
@@ -121,9 +121,11 @@ pub fn play(corpus: &Corpus, config: &GameConfig) -> GameResult {
         Game::Game2 => config.evader,
         Game::Game3 => config.normalizer,
     };
+    // Modules travel as shared handles: a cache hit copies a pointer, and
+    // the model key and embed cache read the hash each handle carries.
     let train_modules = {
         let _s = yali_obs::span!("game.transform_train");
-        transform_all(&train, train_transform, config.seed ^ 0x7431)
+        transform_shared(&train, train_transform, config.seed ^ 0x7431)
     };
     // Through the model store: replayed design points (sweeps, repeated
     // games on one corpus) load the trained classifier instead of
@@ -145,15 +147,14 @@ pub fn play(corpus: &Corpus, config: &GameConfig) -> GameResult {
     };
     let mut challenge_modules = {
         let _s = yali_obs::span!("game.transform_challenge");
-        transform_all(&test, evader, config.seed ^ 0xEEAD)
+        transform_shared(&test, evader, config.seed ^ 0xEEAD)
     };
-    // Game 3: the classifier re-optimizes every challenge it receives.
+    // Game 3: the classifier re-optimizes every challenge it receives,
+    // through the normalizer cache the models of a grid cell share.
     if config.game == Game::Game3 {
         if let Transformer::Opt(level) = config.normalizer {
             let _s = yali_obs::span!("game.normalize");
-            crate::engine::par_for_each_mut(&mut challenge_modules, |_, m| {
-                yali_opt::optimize(m, level);
-            });
+            challenge_modules = crate::engine::normalize_all(&challenge_modules, level);
         }
     }
 

@@ -56,13 +56,14 @@ pub mod store;
 pub mod transformer;
 
 pub use arena::{
-    fit_vector_cached, transform_all, ClassifierSpec, Corpus, ModelChoice, Sample,
-    TrainedClassifier,
+    fit_vector_cached, transform_all, transform_shared, ClassifierSpec, Corpus, ModelChoice,
+    Sample, TrainedClassifier,
 };
 pub use av::SignatureScanner;
 pub use discover::{discover_transformer, DiscoverDataset, DiscoverResult};
 pub use engine::{
-    embed_cached, par_map, par_map_with, transform_cached, CacheStats, EmbedCache, TransformCache,
+    embed_cached, par_map, par_map_with, transform_cached, CacheStats, EmbedCache, HashedModule,
+    NormalizeCache, SharedModule, TransformCache,
 };
 pub use game::{play, Game, GameConfig, GameResult};
 pub use malware_exp::{malware_round, MalwareCorpus, MalwarePoint, MALWARE_TRANSFORMERS};

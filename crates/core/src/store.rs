@@ -1,9 +1,10 @@
 //! The persistent, content-addressed artifact store (`YALI_STORE=dir`).
 //!
 //! The engine's in-memory caches ([`crate::engine::EmbedCache`],
-//! [`crate::engine::TransformCache`], [`crate::engine::ModelCache`]) die
-//! with the process, so the warm-store speedups evaporate between runs
-//! and cannot be shared by the workers of a sharded sweep. This module
+//! [`crate::engine::TransformCache`], [`crate::engine::NormalizeCache`],
+//! [`crate::engine::ModelCache`]) die with the process, so the
+//! warm-store speedups evaporate between runs and cannot be shared by
+//! the workers of a sharded sweep. This module
 //! promotes them to a read-through hierarchy over an on-disk store:
 //! memory hit → disk hit → compute-and-publish.
 //!
@@ -67,7 +68,8 @@ use yali_ml::serialize::{ByteReader, ByteWriter, CODEC_VERSION};
 pub enum Namespace {
     /// [`crate::engine::EmbedCache`] payloads (encoded [`Embedding`]s).
     Embed,
-    /// [`crate::engine::TransformCache`] payloads (printed IR modules).
+    /// [`crate::engine::TransformCache`] and
+    /// [`crate::engine::NormalizeCache`] payloads (printed IR modules).
     Transform,
     /// [`crate::engine::ModelCache`] payloads (serialized model blobs).
     Model,
@@ -881,6 +883,17 @@ pub fn transform_key(source_hash: u64, transformer_name: &str, seed: u64) -> u64
     h.write_u64(source_hash);
     h.write_str(transformer_name);
     h.write_u64(seed);
+    h.finish()
+}
+
+/// Store key for a normalizer record, kept in the `transform` namespace:
+/// the input module's structural hash × optimization level (the complete
+/// input of `yali_opt::optimize`).
+pub fn normalize_key(content_hash: u64, level: yali_opt::OptLevel) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str("store-normalize-v1");
+    h.write_u64(content_hash);
+    h.write_str(level.flag());
     h.finish()
 }
 

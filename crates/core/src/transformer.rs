@@ -181,6 +181,96 @@ mod tests {
         assert_eq!(Transformer::Ir(IrObf::Fla).name(), "fla");
     }
 
+    /// The search loops as they were before the original's histogram was
+    /// hoisted out of the scoring and unchanged candidates were skipped.
+    mod oracle {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use yali_minic::Program;
+        use yali_obf::{evasion_score, SourceTransform};
+
+        fn apply_checked<R: Rng>(p: &mut Program, t: SourceTransform, rng: &mut R) -> bool {
+            let mut candidate = p.clone();
+            t.apply(&mut candidate, rng);
+            if yali_minic::check(&candidate).is_ok() {
+                *p = candidate;
+                true
+            } else {
+                false
+            }
+        }
+
+        pub fn mcmc(p: &Program, seed: u64, iterations: usize) -> Program {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut current = p.clone();
+            let mut current_score = 0.0;
+            let temperature = 2.0;
+            for _ in 0..iterations {
+                let t = *SourceTransform::ALL.choose(&mut rng).expect("non-empty");
+                let mut candidate = current.clone();
+                if !apply_checked(&mut candidate, t, &mut rng) {
+                    continue;
+                }
+                let score = evasion_score(p, &candidate);
+                let accept = score >= current_score
+                    || rng.gen::<f64>() < ((score - current_score) / temperature).exp();
+                if accept {
+                    current = candidate;
+                    current_score = score;
+                }
+            }
+            current
+        }
+
+        pub fn drlsg(p: &Program, seed: u64, max_steps: usize) -> Program {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut current = p.clone();
+            let mut current_score = 0.0;
+            for _ in 0..max_steps {
+                let mut best: Option<(f64, Program)> = None;
+                for t in SourceTransform::ALL {
+                    let mut candidate = current.clone();
+                    if !apply_checked(&mut candidate, t, &mut rng) {
+                        continue;
+                    }
+                    let score = evasion_score(p, &candidate);
+                    if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
+                        best = Some((score, candidate));
+                    }
+                }
+                match best {
+                    Some((score, candidate)) if score > current_score + 1e-9 => {
+                        current = candidate;
+                        current_score = score;
+                    }
+                    _ => break,
+                }
+            }
+            current
+        }
+    }
+
+    #[test]
+    fn searches_print_what_the_unpruned_loops_print() {
+        let corpus = crate::Corpus::poj(12, 3, 21);
+        for (i, s) in corpus.samples.iter().enumerate() {
+            for seed in [1u64, 7, 0xEEAD ^ ((i as u64) << 16)] {
+                let p = &s.program;
+                assert_eq!(
+                    yali_minic::print(&yali_obf::mcmc(p, seed, 6)),
+                    yali_minic::print(&oracle::mcmc(p, seed, 6)),
+                    "mcmc, sample {i}, seed {seed}"
+                );
+                assert_eq!(
+                    yali_minic::print(&yali_obf::drlsg(p, seed, 3)),
+                    yali_minic::print(&oracle::drlsg(p, seed, 3)),
+                    "drlsg, sample {i}, seed {seed}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn transformers_are_deterministic_per_seed() {
         let p = sample();

@@ -222,7 +222,17 @@ impl Lexer {
     }
 }
 
+/// The deepest `ptr<…>` nesting [`parse_module`] accepts. The printer
+/// emits a few levels; the bound keeps hostile text from recursing the
+/// parser off the end of its stack.
+pub const MAX_TYPE_DEPTH: usize = 1024;
+
 fn parse_type(lx: &mut Lexer) -> Result<Type, ParseError> {
+    parse_type_within(lx, MAX_TYPE_DEPTH)
+}
+
+/// A type with at most `levels` further `ptr<` levels.
+fn parse_type_within(lx: &mut Lexer, levels: usize) -> Result<Type, ParseError> {
     let name = lx.expect_ident()?;
     match name.as_str() {
         "void" => Ok(Type::Void),
@@ -231,9 +241,12 @@ fn parse_type(lx: &mut Lexer) -> Result<Type, ParseError> {
         "i32" => Ok(Type::I32),
         "i64" => Ok(Type::I64),
         "f64" => Ok(Type::F64),
+        "ptr" if levels == 0 => Err(lx.err(format!(
+            "type nested deeper than {MAX_TYPE_DEPTH} ptr levels"
+        ))),
         "ptr" => {
             lx.expect_punct('<')?;
-            let inner = parse_type(lx)?;
+            let inner = parse_type_within(lx, levels - 1)?;
             lx.expect_punct('>')?;
             Ok(Type::ptr(inner))
         }
@@ -670,5 +683,35 @@ b2:
         assert_eq!(f.inst(gep).ty, Type::ptr(Type::I32));
         let out = print_module(&m);
         assert_eq!(out, print_module(&parse_module(&out).unwrap()));
+    }
+
+    #[test]
+    fn type_nesting_is_bounded() {
+        let declare = |levels: usize| {
+            format!(
+                "module \"m\"\n\ndeclare void @f({}i64{})\n",
+                "ptr<".repeat(levels),
+                ">".repeat(levels)
+            )
+        };
+        // A small stack, as on a serving thread: the unbounded parser
+        // overflowed it at 100,000 levels.
+        let results = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                (
+                    parse_module(&declare(100_000)).map(|_| ()),
+                    parse_module(&declare(MAX_TYPE_DEPTH + 1)).map(|_| ()),
+                    parse_module(&declare(MAX_TYPE_DEPTH)).map(|_| ()),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("deep types must not overflow the stack");
+        let (deep, over, at) = results;
+        for err in [deep.unwrap_err(), over.unwrap_err()] {
+            assert!(err.msg.contains(&MAX_TYPE_DEPTH.to_string()), "{err}");
+        }
+        at.expect("the limit itself parses");
     }
 }

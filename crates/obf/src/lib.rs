@@ -152,6 +152,41 @@ mod tests {
     }
 
     #[test]
+    fn o3_prints_the_same_obfuscated_module_on_every_run() {
+        // Loops whose bodies hold loop-invariant arithmetic in several
+        // blocks, obfuscated so they grow more blocks and loops: LICM
+        // hoists from every loop and body block into the preheaders, so
+        // the order it visits them in shows in the printed module.
+        let src = r#"
+            int walk(int n, int k) {
+                int a = 0; int b = 1;
+                for (int i = 0; i < n; i++) {
+                    if (i % 3 == 0) { a = a + k * 7; } else { b = b + (k + 5) * 3; }
+                    for (int j = 0; j < i; j++) { a = a - (k - 2) * 11 + j; }
+                }
+                return a + b;
+            }
+            int spin(int x, int y) {
+                int q = 0;
+                while (x > 0) {
+                    if (x % 2 == 0) { q = q + y * 13; } else { q = q - (y + 9) * 4; }
+                    x = x - 1;
+                }
+                return q;
+            }
+        "#;
+        let m0 = yali_minic::compile(src).unwrap();
+        for pass in IrObf::ALL {
+            let mut m = m0.clone();
+            pass.apply(&mut m, &mut ChaCha8Rng::seed_from_u64(3));
+            let runs: Vec<String> = (0..4)
+                .map(|_| yali_ir::print_module(&yali_opt::optimized(&m, yali_opt::OptLevel::O3)))
+                .collect();
+            assert!(runs.windows(2).all(|w| w[0] == w[1]), "{pass}");
+        }
+    }
+
+    #[test]
     fn names_are_the_papers() {
         let names: Vec<&str> = IrObf::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names, vec!["sub", "bcf", "fla", "ollvm"]);

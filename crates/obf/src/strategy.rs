@@ -33,9 +33,17 @@ fn apply_checked<R: Rng>(p: &mut Program, t: SourceTransform, rng: &mut R) -> bo
 /// histograms of the original and transformed programs (Zhang et al.'s
 /// objective, instantiated with the paper's Figure 10 metric).
 pub fn evasion_score(original: &Program, candidate: &Program) -> f64 {
-    let h0 = yali_embed::histogram(&yali_minic::lower(original));
-    let h1 = yali_embed::histogram(&yali_minic::lower(candidate));
-    yali_embed::euclidean(&h0, &h1)
+    score_against(&histogram(original), candidate)
+}
+
+fn histogram(p: &Program) -> Vec<f64> {
+    yali_embed::histogram(&yali_minic::lower(p))
+}
+
+/// [`evasion_score`] against the original's histogram, which a search
+/// computes once.
+fn score_against(original: &[f64], candidate: &Program) -> f64 {
+    yali_embed::euclidean(original, &histogram(candidate))
 }
 
 /// Random search: applies a random subset of the transformations, in a
@@ -57,16 +65,20 @@ pub fn rs(p: &Program, seed: u64) -> Program {
 /// rule on the evasion score.
 pub fn mcmc(p: &Program, seed: u64, iterations: usize) -> Program {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let original = histogram(p);
     let mut current = p.clone();
     let mut current_score = 0.0;
     let temperature = 2.0;
     for _ in 0..iterations {
         let t = *SourceTransform::ALL.choose(&mut rng).expect("non-empty");
         let mut candidate = current.clone();
-        if !apply_checked(&mut candidate, t, &mut rng) {
+        // An unchanged candidate would score exactly `current_score`, which
+        // the Metropolis rule accepts without a draw: skipping it changes
+        // neither the chain nor the random stream.
+        if !apply_checked(&mut candidate, t, &mut rng) || candidate == current {
             continue;
         }
-        let score = evasion_score(p, &candidate);
+        let score = score_against(&original, &candidate);
         let accept = score >= current_score
             || rng.gen::<f64>() < ((score - current_score) / temperature).exp();
         if accept {
@@ -82,16 +94,19 @@ pub fn mcmc(p: &Program, seed: u64, iterations: usize) -> Program {
 /// when no transformation helps.
 pub fn drlsg(p: &Program, seed: u64, max_steps: usize) -> Program {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let original = histogram(p);
     let mut current = p.clone();
     let mut current_score = 0.0;
     for _ in 0..max_steps {
         let mut best: Option<(f64, Program)> = None;
         for t in SourceTransform::ALL {
             let mut candidate = current.clone();
-            if !apply_checked(&mut candidate, t, &mut rng) {
+            // An unchanged candidate would score exactly `current_score`,
+            // which can never pass the step's improvement test.
+            if !apply_checked(&mut candidate, t, &mut rng) || candidate == current {
                 continue;
             }
-            let score = evasion_score(p, &candidate);
+            let score = score_against(&original, &candidate);
             if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
                 best = Some((score, candidate));
             }

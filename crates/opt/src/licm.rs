@@ -7,7 +7,7 @@
 //! requires building a preheader. Division and remainder are never hoisted
 //! (they can trap when speculated).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use yali_ir::{BlockId, DomTree, Function, InstId, Module, Op, Value};
 
 /// Runs LICM on every definition. Returns the number of hoisted
@@ -26,23 +26,20 @@ pub struct NaturalLoop {
     /// The loop header.
     pub header: BlockId,
     /// All blocks in the loop, including the header.
-    pub body: HashSet<BlockId>,
+    pub body: BTreeSet<BlockId>,
 }
 
 /// Finds the natural loops of `f` (one per header; bodies of shared headers
-/// are merged).
+/// are merged), ordered by header and then body block ids, so that hoisting
+/// visits them in the same order on every run.
 pub fn natural_loops(f: &Function, dt: &DomTree) -> Vec<NaturalLoop> {
-    let mut loops: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
+    let mut loops: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
     let preds = f.predecessors();
     for &b in f.block_order() {
         for s in f.successors(b) {
             if dt.dominates(s, b) {
                 // Back edge b -> s.
-                let body = loops.entry(s).or_insert_with(|| {
-                    let mut set = HashSet::new();
-                    set.insert(s);
-                    set
-                });
+                let body = loops.entry(s).or_insert_with(|| BTreeSet::from([s]));
                 // Walk backwards from the latch collecting the body.
                 let mut stack = vec![b];
                 while let Some(x) = stack.pop() {

@@ -1,17 +1,31 @@
 //! Engine determinism: a fixed-seed game must produce byte-identical
-//! results at every thread count, and with cold or warm caches. This is
-//! the contract that lets the experiment engine parallelize and cache
-//! without perturbing any figure.
+//! results at every thread count, with cold or warm caches, and with the
+//! caches bypassed. This is the contract that lets the experiment engine
+//! parallelize and cache without perturbing any figure.
 
 use proptest::prelude::*;
-use yali_core::{engine, play, ClassifierSpec, Corpus, Game, GameConfig, Transformer};
+use yali_core::engine::{self, CacheStats, ModelCache};
+use yali_core::{
+    play, ClassifierSpec, Corpus, EmbedCache, Game, GameConfig, NormalizeCache, TransformCache,
+    Transformer,
+};
 use yali_ml::ModelKind;
 
-// YALI_THREADS and the yali-obs enabled/trace state are process-global;
-// the tests that touch either serialize here so neither can observe the
-// other mid-flip (an in-flight game would otherwise write span opens into
-// a trace that detaches before the matching closes).
+// YALI_THREADS, YALI_CACHE, the global caches and the yali-obs
+// enabled/trace state are process-global; the tests that touch any of them
+// serialize here so none can observe another mid-flip (an in-flight game
+// would otherwise write span opens into a trace that detaches before the
+// matching closes, or add to another test's cache counters).
 static GLOBAL_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn cache_stats() -> [CacheStats; 4] {
+    [
+        TransformCache::global().stats(),
+        EmbedCache::global().stats(),
+        NormalizeCache::global().stats(),
+        ModelCache::global().stats(),
+    ]
+}
 
 fn play_once(seed: u64, game: Game) -> String {
     let corpus = Corpus::poj(3, 8, seed);
@@ -50,12 +64,23 @@ proptest! {
             out
         };
         let serial_cold = run("1", true);
+        let serial_stats = cache_stats();
         let parallel_cold = run("8", true);
         prop_assert_eq!(&serial_cold, &parallel_cold, "1 vs 8 threads, cold caches");
+        // Each missed key is filled once per batch, whatever the threads.
+        // Under `YALI_STORE` the second run is cold in memory only: its
+        // model comes from disk, so its training set is never embedded.
+        if yali_core::store::active().is_none() {
+            prop_assert_eq!(serial_stats, cache_stats(), "cache counters, 1 vs 8 threads");
+        }
         let parallel_warm = run("8", false);
         prop_assert_eq!(&serial_cold, &parallel_warm, "cold vs warm caches");
         let serial_warm = run("1", false);
         prop_assert_eq!(&serial_cold, &serial_warm, "serial replay on warm caches");
+        std::env::set_var("YALI_CACHE", "0");
+        let uncached = run("8", false);
+        std::env::remove_var("YALI_CACHE");
+        prop_assert_eq!(&serial_cold, &uncached, "YALI_CACHE=0");
     }
 }
 
@@ -110,8 +135,9 @@ proptest! {
 #[test]
 fn par_map_with_matches_serial_on_real_embeddings() {
     // The same transform + embed pipeline, explicitly at several thread
-    // counts via par_map_with (no env involved, safe to run in parallel
-    // with other tests).
+    // counts via par_map_with (no env involved, but it fills the global
+    // caches).
+    let _lock = GLOBAL_STATE.lock().unwrap();
     let corpus = Corpus::poj(2, 6, 21);
     let refs: Vec<&yali_core::Sample> = corpus.samples.iter().collect();
     let modules = yali_core::transform_all(&refs, Transformer::None, 3);
