@@ -11,22 +11,14 @@
 //!   pool, chunks fanned out on `yali-par`.
 //!
 //! All three modes produce identical labels (enforced at startup and by
-//! the `prop_infer` determinism proptest).
-//!
-//! A second `infer/subset_*` group times the int8 inference path on the
-//! models that have one (lr, svm, mlp), single-threaded so the comparison
-//! is pure kernel arithmetic: `infer/subset_f64` is the ordinary batched
-//! engine over that subset and the baseline, and `infer/subset_int8` runs
-//! the quantized path. The report carries the int8 twin's label agreement
-//! with the f64 verdicts; its gate (>= 99.5%) is asserted at startup and
-//! re-checked by `scripts/bench.sh`. Writes `BENCH_infer.json` at the
-//! repo root.
+//! the `prop_infer` determinism proptest). Writes `BENCH_infer.json` at
+//! the repo root.
 
 use std::time::Duration;
 
 use criterion::Criterion;
 use yali_core::{transform_all, Corpus, Sample, Scale, Transformer};
-use yali_ml::{Int8Classifier, ModelKind, TrainConfig, VectorClassifier};
+use yali_ml::{ModelKind, TrainConfig, VectorClassifier};
 
 /// The challenge evaders: a representative slice of Figure 4's column
 /// (identity, optimizer, and the O-LLVM passes).
@@ -62,21 +54,9 @@ struct Report {
     threads_parallel: usize,
     n_queries: usize,
     models: Vec<String>,
-    /// The models with int8 twins (the `infer/subset_*` modes run exactly
-    /// these).
-    lowp_models: Vec<String>,
     modes: Vec<ModeOut>,
     speedup_serial_to_batched: f64,
     speedup_serial_to_batched_parallel: f64,
-    /// Fraction of subset labels where the int8 twin agrees with f64
-    /// (gated at >= 0.995 here and in scripts/bench.sh).
-    int8_agreement: f64,
-}
-
-/// Label agreement between two prediction vectors.
-fn agreement(a: &[usize], b: &[usize]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b).filter(|(x, y)| x == y).count() as f64 / a.len().max(1) as f64
 }
 
 fn main() {
@@ -85,14 +65,9 @@ fn main() {
     let (train, _) = corpus.split(0.8, 7);
     let xtr = embed(&train, Transformer::None, 1);
     let ytr: Vec<usize> = train.iter().map(|s| s.class).collect();
-    let models: Vec<(ModelKind, VectorClassifier)> = ModelKind::ALL
+    let models: Vec<VectorClassifier> = ModelKind::ALL
         .iter()
-        .map(|&k| {
-            (
-                k,
-                VectorClassifier::fit(k, &xtr, &ytr, corpus.n_classes, &TrainConfig::default()),
-            )
-        })
+        .map(|&k| VectorClassifier::fit(k, &xtr, &ytr, corpus.n_classes, &TrainConfig::default()))
         .collect();
 
     // The challenge pool: every corpus sample under every evader — the
@@ -107,7 +82,7 @@ fn main() {
     // cannot be optimized away.
     let serial_pass = || {
         let mut acc = 0usize;
-        for (_, clf) in &models {
+        for clf in &models {
             for q in &queries {
                 acc += clf.predict(q);
             }
@@ -116,59 +91,12 @@ fn main() {
     };
     let batched_pass = || {
         let mut acc = 0usize;
-        for (_, clf) in &models {
+        for clf in &models {
             acc += clf.predict_batch(&queries).iter().sum::<usize>();
         }
         acc
     };
     assert_eq!(serial_pass(), batched_pass(), "modes must agree on labels");
-
-    // The reduced-precision subset: the models whose inference is a pure
-    // dense pipeline, plus their int8 twins.
-    const LOWP_MODELS: [ModelKind; 3] = [ModelKind::Lr, ModelKind::Svm, ModelKind::Mlp];
-    let subset: Vec<(&VectorClassifier, Int8Classifier)> = LOWP_MODELS
-        .iter()
-        .map(|want| {
-            let clf = models
-                .iter()
-                .find(|(k, _)| k == want)
-                .map(|(_, c)| c)
-                .expect("subset model trained above");
-            (clf, Int8Classifier::from_model(clf).expect("int8 twin"))
-        })
-        .collect();
-
-    // Twin-vs-f64 label agreement over the whole challenge pool — the
-    // accuracy-delta gate, asserted here and re-checked by bench.sh.
-    let (mut int8_hits, mut lowp_total) = (0.0, 0.0);
-    for (clf, int8c) in &subset {
-        let want = clf.predict_batch_with_threads(&queries, 1);
-        int8_hits += agreement(&int8c.predict_batch_with_threads(&queries, 1), &want)
-            * want.len() as f64;
-        lowp_total += want.len() as f64;
-    }
-    let int8_agreement = int8_hits / lowp_total;
-    assert!(
-        int8_agreement >= 0.995,
-        "int8 agreement {int8_agreement} below the 99.5% gate"
-    );
-
-    // Single-threaded passes over the subset, one per precision; each
-    // sums the labels so the work cannot be optimized away.
-    let subset_f64_pass = || {
-        let mut acc = 0usize;
-        for (clf, _) in &subset {
-            acc += clf.predict_batch_with_threads(&queries, 1).iter().sum::<usize>();
-        }
-        acc
-    };
-    let subset_int8_pass = || {
-        let mut acc = 0usize;
-        for (_, int8c) in &subset {
-            acc += int8c.predict_batch_with_threads(&queries, 1).iter().sum::<usize>();
-        }
-        acc
-    };
 
     let parallel_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -183,8 +111,6 @@ fn main() {
     std::env::set_var("YALI_THREADS", "1");
     c.bench_function("infer/serial", |b| b.iter(serial_pass));
     c.bench_function("infer/batched", |b| b.iter(batched_pass));
-    c.bench_function("infer/subset_f64", |b| b.iter(subset_f64_pass));
-    c.bench_function("infer/subset_int8", |b| b.iter(subset_int8_pass));
     std::env::set_var("YALI_THREADS", parallel_threads.to_string());
     c.bench_function("infer/batched_parallel", |b| b.iter(batched_pass));
 
@@ -223,10 +149,6 @@ fn main() {
             .expect("bench summary")
     };
     let serial_mean = mean_of("infer/serial");
-    // The subset modes compare precisions over the same three models, so
-    // their baseline is the subset's own f64 pass, not the six-model
-    // serial loop.
-    let subset_mean = mean_of("infer/subset_f64");
     let modes: Vec<ModeOut> = c
         .summaries()
         .iter()
@@ -235,11 +157,7 @@ fn main() {
             mean_ns: s.mean_ns,
             median_ns: s.median_ns,
             min_ns: s.min_ns,
-            speedup_vs_serial: if s.id.starts_with("infer/subset_") {
-                subset_mean / s.mean_ns
-            } else {
-                serial_mean / s.mean_ns
-            },
+            speedup_vs_serial: serial_mean / s.mean_ns,
         })
         .collect();
     let speedup_of = |name: &str| {
@@ -254,8 +172,7 @@ fn main() {
     let report = Report {
         description: "batched inference engine: six trained vector models classifying the \
                       Scale::SMALL corpus under six evaders, serial per-sample vs batched \
-                      (1 thread) vs batched+parallel; plus the reduced-precision subset \
-                      (lr, svm, mlp at f64 / int8, 1 thread, speedups vs subset_f64)"
+                      (1 thread) vs batched+parallel"
             .to_string(),
         workload: format!(
             "{} classes x {} per class, {} evaders, {} queries x {} models per pass",
@@ -268,21 +185,17 @@ fn main() {
         threads_parallel: parallel_threads,
         n_queries: corpus.samples.len() * EVADERS.len(),
         models: ModelKind::ALL.iter().map(|m| m.name().to_string()).collect(),
-        lowp_models: LOWP_MODELS.iter().map(|m| m.name().to_string()).collect(),
         modes,
         speedup_serial_to_batched: speedup_batched,
         speedup_serial_to_batched_parallel: speedup_batched_parallel,
-        int8_agreement,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_infer.json");
     std::fs::write(path, json + "\n").expect("write BENCH_infer.json");
     println!(
-        "infer serial -> batched: {:.2}x, -> batched_parallel: {:.2}x; \
-         int8 agreement {:.4} (report at {})",
+        "infer serial -> batched: {:.2}x, -> batched_parallel: {:.2}x (report at {})",
         report.speedup_serial_to_batched,
         report.speedup_serial_to_batched_parallel,
-        report.int8_agreement,
         path
     );
 }

@@ -86,7 +86,7 @@ impl From<engine::CacheStats> for CacheOut {
             misses: s.misses,
             inserts: s.inserts,
             entries: s.entries,
-            hit_rate: s.hit_rate(),
+            hit_rate: s.hit_ratio(),
         }
     }
 }

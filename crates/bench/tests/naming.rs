@@ -122,7 +122,7 @@ fn every_name_a_game_run_registers_matches_the_grammar() {
 
 #[test]
 fn the_grammar_rejects_the_shapes_merging_would_alias() {
-    for good in ["serve.requests", "ml.gemm.int8.calls", "par.busy_ns"] {
+    for good in ["serve.requests", "ml.gemm.kernel.avx2", "par.busy_ns"] {
         assert!(name_is_well_formed(good), "{good:?} should be accepted");
     }
     for bad in [

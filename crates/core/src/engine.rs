@@ -101,11 +101,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Alias of [`CacheStats::hit_ratio`] (the original name).
-    pub fn hit_rate(&self) -> f64 {
-        self.hit_ratio()
-    }
 }
 
 /// The hit/miss/insert counter trio of a [`Cache`].
@@ -641,12 +636,6 @@ pub fn transform_batch(jobs: &[(&Program, u64)], t: Transformer) -> Vec<SharedMo
     TransformCache::global().apply_all(jobs, t)
 }
 
-/// One program through [`transform_batch`], as an owned module.
-pub fn transform_cached(program: &Program, t: Transformer, seed: u64) -> Module {
-    let mut one = transform_batch(&[(program, seed)], t);
-    one.pop().expect("one module per program").into_module()
-}
-
 /// The Game-3 normalizer: `level` applied to every module, through the
 /// global [`NormalizeCache`] (or directly, under `YALI_CACHE=0`), in
 /// input order. Lookups add to the `core.cache.normalize_hits` and
@@ -764,7 +753,7 @@ mod tests {
         cache.clear();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts, s.entries), (0, 0, 0, 0));
-        assert_eq!(s.hit_rate(), 0.0);
+        assert_eq!(s.hit_ratio(), 0.0);
     }
 
     #[test]
@@ -862,12 +851,6 @@ mod tests {
                 let seed = 40 ^ ((i as u64) << 16);
                 let direct = yali_ir::print_module(&t.apply(&s.program, seed));
                 assert_eq!(yali_ir::print_module(m), direct, "{t} #{i}");
-                let one = transform_cached(&s.program, t, seed);
-                assert_eq!(
-                    yali_ir::print_module(&one),
-                    direct,
-                    "{t} #{i}, one at a time"
-                );
             }
         }
     }

@@ -62,8 +62,8 @@ pub use arena::{
 pub use av::SignatureScanner;
 pub use discover::{discover_transformer, DiscoverDataset, DiscoverResult};
 pub use engine::{
-    embed_cached, par_map, par_map_with, transform_cached, CacheStats, EmbedCache, HashedModule,
-    NormalizeCache, SharedModule, TransformCache,
+    embed_cached, par_map, par_map_with, CacheStats, EmbedCache, HashedModule, NormalizeCache,
+    SharedModule, TransformCache,
 };
 pub use game::{play, Game, GameConfig, GameResult};
 pub use malware_exp::{malware_round, MalwareCorpus, MalwarePoint, MALWARE_TRANSFORMERS};

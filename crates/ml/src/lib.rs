@@ -36,7 +36,6 @@ pub mod forest;
 pub mod knn;
 pub mod linalg;
 pub mod linear;
-pub mod lowp;
 pub mod metrics;
 pub mod mlp;
 pub mod nn;
@@ -49,7 +48,6 @@ pub use forest::{ForestConfig, RandomForest};
 pub use knn::Knn;
 pub use linalg::{active_kernel, GemmKernel, Matrix};
 pub use linear::{LinearConfig, LinearLoss, LinearModel};
-pub use lowp::Int8Classifier;
 pub use metrics::{accuracy, confusion, macro_f1};
 pub use mlp::{Mlp, MlpConfig};
 

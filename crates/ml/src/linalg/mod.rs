@@ -18,13 +18,11 @@
 //!   ulp; the property tests hold them bitwise against a scalar
 //!   `mul_add` reference (IEEE FMA is exact, so that reference really
 //!   is a bit-oracle).
-//! * [`quant`] — the opt-in int8 path: per-row absmax quantization with
-//!   exact i32 accumulation, used by the `lowp` inference classifier.
 //!
 //! Precision policy: training and inference are `f64` (ModelCache keys
-//! and the determinism proptests depend on it); inference may opt into
-//! int8 via `lowp`. The kernel choice is fixed per process, so
-//! run-to-run bit-stability on one machine is preserved.
+//! and the determinism proptests depend on it). The kernel choice is
+//! fixed per process, so run-to-run bit-stability on one machine is
+//! preserved.
 //!
 //! In the axpy formulation the inner loop accumulates
 //! `C[i][·] += A[i][k] · B[k][·]` over two **contiguous** row slices —
@@ -51,7 +49,6 @@
 
 mod kernel_scalar;
 mod kernel_simd;
-pub mod quant;
 
 pub use kernel_simd::active_kernel;
 

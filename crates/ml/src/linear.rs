@@ -241,12 +241,6 @@ impl LinearModel {
         self.loss
     }
 
-    /// Raw parts — `(weights, bias, scaler)` — for the int8 `lowp`
-    /// classifier to quantize.
-    pub(crate) fn lowp_parts(&self) -> (&Matrix, &[f64], &Scaler) {
-        (&self.w, &self.b, &self.scaler)
-    }
-
     /// Approximate resident bytes (weights + biases + scaler).
     pub fn memory_bytes(&self) -> usize {
         self.w.data.len() * 8 + self.b.len() * 8 + self.scaler.mean.len() * 16

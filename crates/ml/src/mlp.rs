@@ -94,13 +94,6 @@ impl Mlp {
         self.net.proba_rows(self.scaled(xs))
     }
 
-    /// Raw parts — `(scaler, net)` — for the int8 `lowp` classifier to
-    /// quantize (it walks the net's dense layers through
-    /// [`crate::nn::Layer::dense_params`]).
-    pub(crate) fn lowp_parts(&self) -> (&Scaler, &Net) {
-        (&self.scaler, &self.net)
-    }
-
     /// Approximate resident bytes.
     pub fn memory_bytes(&self) -> usize {
         self.net.num_params() * 8 * 3 // weights + Adam moments

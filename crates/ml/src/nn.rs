@@ -174,11 +174,6 @@ pub trait Layer: Send + Sync {
     fn num_params(&self) -> usize;
     /// Serializes the layer (tag plus parameters) for the model store.
     fn write(&self, out: &mut ByteWriter);
-    /// The `(weights, bias)` of a dense layer — what the int8 `lowp`
-    /// classifier quantizes. `None` for every other layer kind.
-    fn dense_params(&self) -> Option<(&Matrix, &[f64])> {
-        None
-    }
 }
 
 const TAG_DENSE: u8 = 1;
@@ -287,10 +282,6 @@ impl Layer for Dense {
         out.put_f64(self.opt_w.lr);
         out.put_matrix(&self.w);
         out.put_f64s(&self.b);
-    }
-
-    fn dense_params(&self) -> Option<(&Matrix, &[f64])> {
-        Some((&self.w, &self.b))
     }
 }
 

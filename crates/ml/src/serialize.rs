@@ -8,19 +8,25 @@
 //! cache round trip reproduces classifications byte-for-byte), and
 //! length-prefixed byte strings.
 //!
-//! Blobs only ever travel through the in-process cache, so a malformed
-//! blob is a bug, not an input error — the reader panics with a message
-//! rather than threading `Result`s through every model.
+//! Blobs travel through the in-process caches and, when `YALI_STORE` is
+//! set, through the on-disk artifact store, which frames each payload
+//! behind checksums and this codec's version byte. A malformed blob is
+//! still a bug rather than an input error, so the reader panics with a
+//! message instead of threading `Result`s through every model. Every
+//! length it reads is checked against the bytes left before anything is
+//! allocated, so a corrupt length panics with "model blob truncated"
+//! rather than reaching the allocator.
 //!
-//! Model blobs are prefixed with [`CODEC_VERSION`]. Version 2 added raw
-//! `i8` strings for the int8 `lowp` inference classifier; version 1 (the
-//! unprefixed seed-era format) is no longer readable — the cache is
-//! in-process, so old blobs cannot outlive the binary that wrote them.
+//! Model blobs are prefixed with [`CODEC_VERSION`]; version 1 (the
+//! unprefixed seed-era format) is no longer readable.
 
 use crate::linalg::Matrix;
 
-/// Version byte prefixed to every model blob. Bumped to 2 when the
-/// int8 primitives were added.
+/// Version byte prefixed to every model blob and every store payload.
+/// Version 2 added `i8` strings for an int8 classifier that has since
+/// been deleted; the `f64` layout did not change with either step, so
+/// the version stays 2. The store reads a mismatch as a miss, and a
+/// bump would silently turn every existing store cold.
 pub const CODEC_VERSION: u8 = 2;
 
 /// Serializer accumulating a little-endian byte buffer.
@@ -82,12 +88,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Writes a length-prefixed `i8` slice (int8 quantized codes).
-    pub fn put_i8s(&mut self, vs: &[i8]) {
-        self.put_usize(vs.len());
-        self.buf.extend(vs.iter().map(|&v| v as u8));
-    }
-
     /// Writes a matrix (shape then data).
     pub fn put_matrix(&mut self, m: &Matrix) {
         self.put_usize(m.rows);
@@ -102,11 +102,17 @@ impl ByteWriter {
 ///
 /// # Panics
 ///
-/// Every reader method panics on truncated input; blobs come from the
-/// in-process cache, so truncation is a serializer bug.
+/// Every reader method panics with "model blob truncated" when the
+/// buffer holds fewer bytes than the read needs, including when a
+/// length read from the blob is too large to fit in it.
 pub struct ByteReader<'a> {
     data: &'a [u8],
     pos: usize,
+}
+
+/// Decodes one little-endian 8-byte word.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
 }
 
 impl<'a> ByteReader<'a> {
@@ -115,21 +121,34 @@ impl<'a> ByteReader<'a> {
         ByteReader { data, pos: 0 }
     }
 
+    /// Consumes `count` items of `width` bytes each. The arithmetic is
+    /// checked, because `count` may come from a corrupt blob.
+    fn take(&mut self, count: usize, width: usize) -> &'a [u8] {
+        let end = count
+            .checked_mul(width)
+            .and_then(|len| self.pos.checked_add(len))
+            .filter(|&end| end <= self.data.len());
+        let Some(end) = end else {
+            panic!("model blob truncated at {}", self.pos);
+        };
+        let out = &self.data[self.pos..end];
+        self.pos = end;
+        out
+    }
+
+    /// Consumes `n` consecutive 8-byte words.
+    fn words(&mut self, n: usize) -> impl Iterator<Item = u64> + 'a {
+        self.take(n, 8).chunks_exact(8).map(word)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> u8 {
-        let v = self.data[self.pos];
-        self.pos += 1;
-        v
+        self.take(1, 1)[0]
     }
 
     /// Reads a `u64`.
     pub fn get_u64(&mut self) -> u64 {
-        let end = self.pos + 8;
-        assert!(end <= self.data.len(), "model blob truncated at {}", self.pos);
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&self.data[self.pos..end]);
-        self.pos = end;
-        u64::from_le_bytes(bytes)
+        word(self.take(1, 8))
     }
 
     /// Reads a `usize`.
@@ -145,40 +164,27 @@ impl<'a> ByteReader<'a> {
     /// Reads a length-prefixed `f64` vector.
     pub fn get_f64s(&mut self) -> Vec<f64> {
         let n = self.get_usize();
-        (0..n).map(|_| self.get_f64()).collect()
+        self.words(n).map(f64::from_bits).collect()
     }
 
     /// Reads a length-prefixed `usize` vector.
     pub fn get_usizes(&mut self) -> Vec<usize> {
         let n = self.get_usize();
-        (0..n).map(|_| self.get_usize()).collect()
+        self.words(n).map(|w| w as usize).collect()
     }
 
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Vec<u8> {
         let n = self.get_usize();
-        let end = self.pos + n;
-        assert!(end <= self.data.len(), "model blob truncated at {}", self.pos);
-        let out = self.data[self.pos..end].to_vec();
-        self.pos = end;
-        out
-    }
-
-    /// Reads a length-prefixed `i8` vector.
-    pub fn get_i8s(&mut self) -> Vec<i8> {
-        let n = self.get_usize();
-        let end = self.pos + n;
-        assert!(end <= self.data.len(), "model blob truncated at {}", self.pos);
-        let out = self.data[self.pos..end].iter().map(|&b| b as i8).collect();
-        self.pos = end;
-        out
+        self.take(n, 1).to_vec()
     }
 
     /// Reads a matrix.
     pub fn get_matrix(&mut self) -> Matrix {
         let rows = self.get_usize();
         let cols = self.get_usize();
-        let data = (0..rows * cols).map(|_| self.get_f64()).collect();
+        // A shape whose element count saturates cannot fit in the buffer.
+        let data = self.words(rows.saturating_mul(cols)).map(f64::from_bits).collect();
         Matrix { rows, cols, data }
     }
 
@@ -224,20 +230,42 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_the_low_precision_primitives() {
-        let mut w = ByteWriter::new();
-        w.put_i8s(&[-127, -1, 0, 1, 127]);
-        let bytes = w.into_bytes();
-
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_i8s(), vec![-127, -1, 0, 1, 127]);
-        assert!(r.is_done());
-    }
-
-    #[test]
     #[should_panic(expected = "model blob truncated")]
     fn truncated_blob_panics() {
         let mut r = ByteReader::new(&[1, 2, 3]);
         let _ = r.get_u64();
+    }
+
+    /// A blob of little-endian `u64` words.
+    fn blob_of(ws: &[u64]) -> Vec<u8> {
+        ws.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "model blob truncated")]
+    fn an_oversized_f64_count_panics_before_allocating() {
+        let blob = blob_of(&[u64::MAX / 8, 0]);
+        let _ = ByteReader::new(&blob).get_f64s();
+    }
+
+    #[test]
+    #[should_panic(expected = "model blob truncated")]
+    fn an_oversized_usize_count_panics_before_allocating() {
+        let blob = blob_of(&[1 << 61, 0]);
+        let _ = ByteReader::new(&blob).get_usizes();
+    }
+
+    #[test]
+    #[should_panic(expected = "model blob truncated")]
+    fn an_overflowing_matrix_shape_panics() {
+        let blob = blob_of(&[1 << 32, 1 << 32, 0]);
+        let _ = ByteReader::new(&blob).get_matrix();
+    }
+
+    #[test]
+    #[should_panic(expected = "model blob truncated")]
+    fn an_overflowing_byte_string_length_panics() {
+        let blob = blob_of(&[u64::MAX - 3, 0]);
+        let _ = ByteReader::new(&blob).get_bytes();
     }
 }

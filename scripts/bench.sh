@@ -93,7 +93,7 @@ EOF
 
 check_json BENCH_engine.json speedup_serial_to_parallel_cached obs_overhead_pct embed_cache transform_cache
 check_json BENCH_train.json speedup_serial_to_parallel_cached model_cache gemm_simd_kernel
-check_json BENCH_infer.json speedup_serial_to_batched speedup_serial_to_batched_parallel n_queries int8_agreement
+check_json BENCH_infer.json speedup_serial_to_batched speedup_serial_to_batched_parallel n_queries
 check_json BENCH_store.json speedup_cold_to_warm_disk bytes_on_disk disk_hit_ratio store_entries
 check_json BENCH_serve.json qps_serial_to_batched p99_batched_over_serial n_clients requests_per_client live
 
@@ -181,23 +181,6 @@ if ratio < 4.0:
         f"gemm/blocked, below the 4x floor"
     )
 print(f"gemm simd floor: ok ({kernel} {ratio:.2f}x over blocked, >= 4x)")
-EOF
-
-# The int8 accuracy gate: the quantized inference path must agree with
-# the f64 verdicts on at least 99.5% of the subset labels (the bench
-# asserts this too; re-checking the written report keeps the gate honest
-# against a stale file).
-python3 - <<'EOF'
-import json
-
-with open("BENCH_infer.json") as f:
-    report = json.load(f)
-agree = report["int8_agreement"]
-if agree < 0.995:
-    raise SystemExit(f"BENCH_infer.json: int8_agreement {agree:.4f} below the 99.5% gate")
-mean = {m["name"]: m["mean_ns"] for m in report["modes"]}
-speed = mean["infer/subset_f64"] / mean["infer/subset_int8"]
-print(f"int8 gate: ok (agreement {agree:.4f} >= 0.995, {speed:.2f}x vs subset f64)")
 EOF
 
 # The artifact-store resume gate: replaying the store bench's sweep from
