@@ -25,8 +25,9 @@
 //! writes a per-shard run report. The driver merges those reports
 //! bucket-wise into `RUNSTATS_grid.json` (see
 //! [`yali_core::FleetReport`]), prints a per-shard straggler table, and
-//! leaves the gating to `yali-prof diff --max-straggler-ratio/
-//! --max-shard-drift`.
+//! leaves the gating to `yali-prof diff`, which holds the report to the
+//! straggler ceiling, the shard-drift band and fleet counters that equal
+//! their shard sums.
 
 use std::process::{Command, ExitCode};
 
@@ -34,6 +35,7 @@ use yali_grid::{
     evader_by_name, game_by_name, merge, model_by_name, partition, play_point, GridReport,
     GridSpec, PointResult,
 };
+use yali_obs::Args;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,52 +72,6 @@ under YALI_OBS=1, run writes a fleet report (default RUNSTATS_grid.json; --runst
 merging every shard's run report, and YALI_TRACE=<base> gives each worker <base>.shardN
 ";
 
-/// One `--flag value` argument walker; positional args collect separately.
-struct Args<'a> {
-    flags: Vec<(&'a str, &'a str)>,
-    positional: Vec<&'a str>,
-}
-
-impl<'a> Args<'a> {
-    fn parse(args: &'a [String]) -> Result<Args<'a>, String> {
-        let mut flags = Vec::new();
-        let mut positional = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.push((name, value.as_str()));
-            } else {
-                positional.push(a.as_str());
-            }
-        }
-        Ok(Args { flags, positional })
-    }
-
-    fn get(&self, name: &str) -> Option<&'a str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
-    fn require(&self, name: &str) -> Result<&'a str, String> {
-        self.get(name).ok_or_else(|| format!("--{name} is required"))
-    }
-
-    fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} {v:?} is not a count")),
-        }
-    }
-}
-
 /// Builds the grid spec from `--games/--evaders/--models/--rounds/
 /// --classes/--per-class`, defaulting to the `YALI_SCALE` scale's Game-1
 /// sweep.
@@ -139,9 +95,9 @@ fn spec_from_args(args: &Args<'_>) -> Result<GridSpec, String> {
             .map(model_by_name)
             .collect::<Result<_, _>>()?;
     }
-    spec.rounds = args.get_usize("rounds", spec.rounds)?;
-    spec.classes = args.get_usize("classes", spec.classes)?;
-    spec.per_class = args.get_usize("per-class", spec.per_class)?;
+    spec.rounds = args.get_num("rounds", spec.rounds)?;
+    spec.classes = args.get_num("classes", spec.classes)?;
+    spec.per_class = args.get_num("per-class", spec.per_class)?;
     if spec.games.is_empty() || spec.evaders.is_empty() || spec.models.is_empty() {
         return Err("the grid needs at least one game, evader, and model".into());
     }
@@ -197,14 +153,14 @@ fn cmd_point(rest: &[String]) -> Result<(), String> {
         evaders: vec![evader_by_name(args.require("evader")?)?],
         models: vec![model_by_name(args.require("model")?)?],
         rounds: 1,
-        classes: args.get_usize("classes", yali_core::Scale::from_env().classes)?,
-        per_class: args.get_usize("per-class", yali_core::Scale::from_env().per_class)?,
+        classes: args.get_num("classes", yali_core::Scale::from_env().classes)?,
+        per_class: args.get_num("per-class", yali_core::Scale::from_env().per_class)?,
     };
     let round: u64 = args
         .require("round")?
         .parse()
         .map_err(|_| "--round must be a number".to_string())?;
-    let repeat = args.get_usize("repeat", 1)?;
+    let repeat = args.get_num("repeat", 1)?;
     let mut point = spec.points()[0];
     point.round = round;
     for _ in 0..repeat {
@@ -226,8 +182,8 @@ const GRID_TRACE_SEED: u64 = 0x9a11_6d1d;
 fn cmd_worker(rest: &[String]) -> Result<(), String> {
     let args = Args::parse(rest)?;
     let spec = spec_from_args(&args)?;
-    let shard = args.get_usize("shard", 0)?;
-    let of = args.get_usize("of", 1)?;
+    let shard = args.get_num("shard", 0)?;
+    let of = args.get_num("of", 1)?;
     if of == 0 || shard >= of {
         return Err(format!("--shard {shard} not in 0..{of}"));
     }
@@ -270,7 +226,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     // merged timeline never confuses it with a worker lane.
     yali_obs::set_identity("driver", None);
     spec_from_args(&args)?; // validate before spawning anything
-    let workers = args.get_usize("workers", 1)?;
+    let workers = args.get_num("workers", 1)?;
     if workers == 0 {
         return Err("--workers must be >= 1".into());
     }

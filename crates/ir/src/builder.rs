@@ -4,7 +4,7 @@
 use crate::module::{Function, Inst};
 use crate::opcode::{Cmp, Op};
 use crate::types::Type;
-use crate::value::{BlockId, InstId, Value};
+use crate::value::{BlockId, Value};
 
 /// Builds instructions into a [`Function`], tracking a current insertion
 /// block.
@@ -73,12 +73,6 @@ impl FunctionBuilder {
         let b = self.current();
         let id = self.func.push_inst(b, inst);
         Value::Inst(id)
-    }
-
-    /// Emits a raw instruction and returns its id rather than a value.
-    pub fn emit_id(&mut self, inst: Inst) -> InstId {
-        let b = self.current();
-        self.func.push_inst(b, inst)
     }
 
     /// Emits a binary operation; the result type is the type of `lhs`.

@@ -378,14 +378,6 @@ impl Op {
         )
     }
 
-    /// True for memory-touching opcodes.
-    pub fn touches_memory(self) -> bool {
-        matches!(
-            self,
-            Op::Alloca | Op::Load | Op::Store | Op::AtomicCmpXchg | Op::AtomicRmw | Op::Fence
-        )
-    }
-
     /// True for opcodes with side effects that dead-code elimination must
     /// preserve even when the result is unused.
     pub fn has_side_effects(self) -> bool {

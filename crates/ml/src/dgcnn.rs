@@ -39,13 +39,6 @@ pub struct GraphSample {
     pub edges: Vec<(usize, usize)>,
 }
 
-impl GraphSample {
-    /// Converts a `yali-embed` program graph (dropping edge kinds).
-    pub fn from_program_graph(feats: Vec<Vec<f64>>, edges: Vec<(usize, usize)>) -> GraphSample {
-        GraphSample { feats, edges }
-    }
-}
-
 /// DGCNN hyperparameters.
 #[derive(Debug, Clone)]
 pub struct DgcnnConfig {

@@ -782,17 +782,6 @@ impl Net {
         }
     }
 
-    /// Computes the cross-entropy gradient at the logits of one sample;
-    /// returns `(loss, grad)`.
-    pub fn ce_grad(logits: &[f64], y: usize) -> (f64, Vec<f64>) {
-        let mut probs = logits.to_vec();
-        softmax_inplace(&mut probs);
-        let loss = -(probs[y].max(1e-12)).ln();
-        let mut grad = probs;
-        grad[y] -= 1.0;
-        (loss, grad)
-    }
-
     /// Batched cross-entropy: returns the summed loss and the per-row
     /// logits gradient.
     pub fn batch_loss_grad(logits: &Matrix, ys: &[usize]) -> (f64, Matrix) {

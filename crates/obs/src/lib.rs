@@ -1004,6 +1004,63 @@ pub fn env_once<T>(
     }
 }
 
+// --- Command-line flags ----------------------------------------------------
+//
+// The binaries read their `--flag value` arguments through one walker,
+// kept next to the `YALI_*` knob reader above.
+
+/// One `--flag value` argument walker: flags in order (the last of a
+/// repeated flag wins); every other argument is collected as positional.
+pub struct Args<'a> {
+    flags: Vec<(&'a str, &'a str)>,
+    /// The arguments that are neither a flag nor a flag's value, in order.
+    pub positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Walks `args`; a flag without a value is an error.
+    pub fn parse(args: &'a [String]) -> Result<Args<'a>, String> {
+        let mut flags = Vec::new();
+        let mut positional = Vec::new();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if let Some(name) = a.strip_prefix("--") {
+                let value = it
+                    .next()
+                    .ok_or_else(|| format!("--{name} needs a value"))?;
+                flags.push((name, value.as_str()));
+            } else {
+                positional.push(a.as_str());
+            }
+        }
+        Ok(Args { flags, positional })
+    }
+
+    /// The value of `--name`, if given.
+    pub fn get(&self, name: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    /// The value of `--name`, or an error saying it is required.
+    pub fn require(&self, name: &str) -> Result<&'a str, String> {
+        self.get(name).ok_or_else(|| format!("--{name} is required"))
+    }
+
+    /// `--name` parsed as a number, or `default` when it is not given.
+    pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{name} {v:?} is not a count")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1275,6 +1332,23 @@ mod tests {
             env_once("YALI_TEST_ENV_ONCE_BAD", &ONCE, "msg", parse_positive),
             None
         );
+    }
+
+    #[test]
+    fn args_walk_flags_and_positionals() {
+        let raw: Vec<String> = ["--a", "1", "x", "--a", "2", "--n", "q"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let args = Args::parse(&raw).unwrap();
+        assert_eq!(args.get("a"), Some("2"), "the last of a repeated flag wins");
+        assert_eq!(args.positional, ["x"]);
+        assert_eq!(args.get_num("a", 0usize), Ok(2));
+        assert_eq!(args.get_num("absent", 7u64), Ok(7));
+        assert_eq!(args.get_num::<u64>("n", 0), Err("--n \"q\" is not a count".into()));
+        assert_eq!(args.require("b").err(), Some("--b is required".into()));
+        let raw = vec!["x".to_string(), "--addr".to_string()];
+        assert_eq!(Args::parse(&raw).err(), Some("--addr needs a value".into()));
     }
 
     #[test]

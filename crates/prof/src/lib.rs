@@ -14,8 +14,8 @@
 //!   the `par_worker` region events;
 //! - [`chrome`] — Chrome Trace Format export, loadable in Perfetto or
 //!   `chrome://tracing`;
-//! - [`diff`] — the run-over-run **regression watch** comparing two
-//!   `RUNSTATS_*.json`/`BENCH_*.json` reports against thresholds.
+//! - [`diff`] — the **gate engine**: holds a `RUNSTATS_*.json`/
+//!   `BENCH_*.json` report to its baseline and to absolute bounds.
 //!
 //! The `yali-prof` binary fronts all of it:
 //!
@@ -24,7 +24,7 @@
 //! yali-prof critical-path TRACE.jsonl    # the chain bounding wall time
 //! yali-prof timeline TRACE.jsonl         # pool busy/idle per worker
 //! yali-prof export --chrome TRACE.jsonl -o trace.json   # open in Perfetto
-//! yali-prof diff RUNSTATS_old.json RUNSTATS_new.json    # exit 1 on regression
+//! yali-prof diff RUNSTATS_old.json RUNSTATS_new.json    # exit 1 on a broken gate
 //! yali-prof selfcheck                    # golden-fixture round trip
 //! ```
 
@@ -40,7 +40,7 @@ pub mod trace;
 
 pub use chrome::to_chrome;
 pub use crosspath::{cross_path, render_cross_path, render_cross_path_json, CrossPath};
-pub use diff::{diff_files, diff_values, DiffConfig, Violation};
+pub use diff::{diff_files, diff_values, Violation};
 pub use merge::{merge_traces, to_chrome_merged, to_jsonl_merged, MergedProcess, MergedTrace};
 pub use profile::{
     critical_path, profile, render_critical_path, render_critical_path_json, render_top,

@@ -1,12 +1,10 @@
-//! The `yali-prof` CLI: trace analysis, Perfetto export, and the
-//! run-over-run regression watch over the files the instrumented engine
-//! writes (`YALI_TRACE` JSONL captures, `RUNSTATS_*.json`,
+//! The `yali-prof` CLI: trace analysis, Perfetto export, and the gate
+//! engine over the files the instrumented engine and its benches
+//! write (`YALI_TRACE` JSONL captures, `RUNSTATS_*.json`,
 //! `BENCH_*.json`).
 
-use yali_prof::diff::DiffConfig;
-
 const USAGE: &str = "\
-yali-prof — trace analysis and regression watch for yali telemetry
+yali-prof — trace analysis and report gates for yali telemetry
 
 USAGE:
   yali-prof top <TRACE.jsonl> [--top N] [--json]  self/total time per span label
@@ -21,16 +19,9 @@ USAGE:
   yali-prof cross-path <TRACE.jsonl>... [--trace-id 0xID] [--json]
                                                 client-to-server latency attribution
                                                 for one request (slowest by default)
-  yali-prof diff <OLD.json> <NEW.json> [options]  compare RUNSTATS/BENCH reports
-      --max-counter-ratio X   counter growth/shrink band   (default 8)
-      --max-phase-ratio X     phase mean_ns growth cap     (default 10)
-      --max-hit-drop X        cache hit-ratio drop cap     (default 0.15)
-      --min-speedup-ratio X   speedup floor vs baseline    (default 0.5)
-      --max-p99-ratio X       serve p99 latency ceiling    (default 3)
-      --min-qps-ratio X       serve throughput floor       (default 0.5)
-      --max-straggler-ratio X fleet slowest/median shard   (default 3)
-      --max-shard-drift X     per-shard counter drift band (default 4)
-      --min-phase-ns X        ignore phases faster than X  (default 50000)
+  yali-prof diff <OLD.json> <NEW.json>          gate a RUNSTATS/BENCH/fleet report against
+                                                its baseline and on its own (diff F F runs
+                                                the absolute gates alone)
   yali-prof selfcheck                           golden-fixture round trip
 
 EXIT: 0 ok; 1 analysis/regression failure; 2 usage error";
@@ -261,33 +252,10 @@ fn run() -> i32 {
             }
         }
         "diff" => {
-            let mut cfg = DiffConfig::default();
-            let flags: [(&str, &mut f64); 8] = [
-                ("--max-counter-ratio", &mut cfg.max_counter_ratio),
-                ("--max-phase-ratio", &mut cfg.max_phase_ratio),
-                ("--max-hit-drop", &mut cfg.max_hit_drop),
-                ("--min-speedup-ratio", &mut cfg.min_speedup_ratio),
-                ("--max-p99-ratio", &mut cfg.max_p99_ratio),
-                ("--min-qps-ratio", &mut cfg.min_qps_ratio),
-                ("--max-straggler-ratio", &mut cfg.max_straggler_ratio),
-                ("--max-shard-drift", &mut cfg.max_shard_drift),
-            ];
-            for (flag, slot) in flags {
-                match take_flag::<f64>(&mut args, flag) {
-                    Ok(Some(v)) => *slot = v,
-                    Ok(None) => {}
-                    Err(e) => return usage(&e),
-                }
-            }
-            match take_flag::<f64>(&mut args, "--min-phase-ns") {
-                Ok(Some(v)) => cfg.min_phase_ns = v,
-                Ok(None) => {}
-                Err(e) => return usage(&e),
-            }
             let [old, new] = args.as_slice() else {
                 return usage("diff takes exactly two report files");
             };
-            match yali_prof::diff_files(old, new, &cfg) {
+            match yali_prof::diff_files(old, new) {
                 Ok(violations) if violations.is_empty() => {
                     println!("diff ok: {new} within thresholds of {old}");
                     0

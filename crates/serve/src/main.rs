@@ -32,6 +32,7 @@
 use std::process::ExitCode;
 
 use yali_ml::ModelKind;
+use yali_obs::Args;
 use yali_serve::{
     config_from_env, live_config_from_env, train_tenants, Client, Metrics, Reply, Server,
 };
@@ -79,46 +80,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// One `--flag value` argument walker.
-struct Args<'a> {
-    flags: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Args<'a> {
-    fn parse(args: &'a [String]) -> Result<Args<'a>, String> {
-        let mut flags = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument {a:?}"));
-            };
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.push((name, value.as_str()));
-        }
-        Ok(Args { flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&'a str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
-    fn require(&self, name: &str) -> Result<&'a str, String> {
-        self.get(name).ok_or_else(|| format!("--{name} is required"))
-    }
-
-    fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} {v:?} is not a count")),
-        }
+/// Walks a subcommand's `--flag value` arguments; serve's subcommands take
+/// no positional arguments.
+fn flags(args: &[String]) -> Result<Args<'_>, String> {
+    let args = Args::parse(args)?;
+    match args.positional.first() {
+        Some(a) => Err(format!("unexpected positional argument {a:?}")),
+        None => Ok(args),
     }
 }
 
@@ -140,7 +108,7 @@ fn maybe_enable_tracing(args: &Args, client: &mut Client) -> Result<(), String> 
     let Some(path) = args.get("trace") else {
         return Ok(());
     };
-    let seed = args.get_u64("trace-seed", 1)?;
+    let seed = args.get_num("trace-seed", 1)?;
     yali_obs::set_identity("client", None);
     yali_obs::set_enabled(true);
     yali_obs::set_trace_path(Some(path));
@@ -149,7 +117,7 @@ fn maybe_enable_tracing(args: &Args, client: &mut Client) -> Result<(), String> 
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let args = Args::parse(args)?;
+    let args = flags(args)?;
     // Stamp the capture's process lane before anything can attach the
     // trace sink (the preamble renders when the sink attaches).
     yali_obs::set_identity("serve", None);
@@ -161,9 +129,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map(model_by_name)
             .collect::<Result<_, _>>()?,
     };
-    let classes = args.get_u64("classes", 8)? as usize;
-    let per_class = args.get_u64("per-class", 12)? as usize;
-    let seed = args.get_u64("seed", 77)?;
+    let classes = args.get_num("classes", 8)? as usize;
+    let per_class = args.get_num("per-class", 12)? as usize;
+    let seed = args.get_num("seed", 77)?;
     let tenants = train_tenants(&kinds, classes, per_class, seed);
     let server = Server::bind_with(addr, tenants, config_from_env(), live_config_from_env())
         .map_err(|e| format!("bind {addr}: {e}"))?;
@@ -196,7 +164,7 @@ fn cmd_simple(
     args: &[String],
     call: impl FnOnce(&mut Client) -> std::io::Result<Reply>,
 ) -> Result<(), String> {
-    let args = Args::parse(args)?;
+    let args = flags(args)?;
     let addr = args.require("addr")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     maybe_enable_tracing(&args, &mut client)?;
@@ -205,7 +173,7 @@ fn cmd_simple(
 }
 
 fn cmd_classify(args: &[String]) -> Result<(), String> {
-    let args = Args::parse(args)?;
+    let args = flags(args)?;
     let addr = args.require("addr")?;
     let model_name = args.require("model")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
@@ -301,7 +269,7 @@ fn render_metrics(m: &Metrics) -> String {
 }
 
 fn cmd_dump_trace(args: &[String]) -> Result<(), String> {
-    let args = Args::parse(args)?;
+    let args = flags(args)?;
     let addr = args.require("addr")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let jsonl = match client.dump_trace().map_err(|e| e.to_string())? {
@@ -323,10 +291,10 @@ fn cmd_dump_trace(args: &[String]) -> Result<(), String> {
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
     use std::io::{IsTerminal, Write};
-    let args = Args::parse(args)?;
+    let args = flags(args)?;
     let addr = args.require("addr")?;
-    let interval = args.get_u64("interval-ms", 1_000)?;
-    let iterations = args.get_u64("iterations", 0)?;
+    let interval = args.get_num("interval-ms", 1_000)?;
+    let iterations = args.get_num("iterations", 0)?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let fancy = std::io::stdout().is_terminal();
     let mut n = 0u64;
@@ -351,7 +319,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scan(args: &[String]) -> Result<(), String> {
-    let args = Args::parse(args)?;
+    let args = flags(args)?;
     let addr = args.require("addr")?;
     let code = args.require("code")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;

@@ -28,6 +28,14 @@ YALI_STORE="$store_dir/artifacts" cargo test -q -p yali-ml -p yali-core
 # in the trace schema, the parser, or the exporter.
 target/release/yali-prof selfcheck
 
+# The committed reports against every gate: diffing a report against
+# itself runs the absolute gates alone (the same table scripts/bench.sh
+# holds fresh reports to), so a regenerated baseline that breaks one
+# fails here, not only after a bench run.
+for f in RUNSTATS_*.json BENCH_*.json; do
+  target/release/yali-prof diff "$f" "$f"
+done
+
 # The multi-process stitcher's golden fixture: merge the two committed
 # shard captures and demand a byte-identical Chrome file. Catches drift
 # in the preamble clock handshake, lane remapping, or the merged export.
